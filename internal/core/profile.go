@@ -60,18 +60,10 @@ func TrainProfileContext(ctx context.Context, ds *dataset.Dataset, nodeCount int
 			return nil, fmt.Errorf("core: junction node %d outside node count %d", nodeIdx, nodeCount)
 		}
 	}
-	factory := func(seed int64) mlearn.Classifier {
-		c, err := mlearn.NewByName(string(cfg.Technique), seed)
-		if err != nil {
-			// Unreachable: the name is validated below before training.
-			panic(err)
-		}
-		return c
-	}
 	if _, err := ParseTechnique(string(cfg.Technique)); err != nil {
 		return nil, err
 	}
-	mo := mlearn.NewMultiOutput(factory, cfg.Seed)
+	mo := mlearn.NewMultiOutput(techniqueFactory(cfg.Technique), cfg.Seed)
 	if err := mo.FitContext(ctx, ds.X(), ds.Y()); err != nil {
 		return nil, fmt.Errorf("core: profile training: %w", err)
 	}
@@ -81,6 +73,19 @@ func TrainProfileContext(ctx context.Context, ds *dataset.Dataset, nodeCount int
 		junctions: append([]int(nil), ds.Junctions...),
 		nodeCount: nodeCount,
 	}, nil
+}
+
+// techniqueFactory returns the registry factory for a technique that
+// ParseTechnique has accepted.
+func techniqueFactory(t Technique) mlearn.Factory {
+	return func(seed int64) mlearn.Classifier {
+		c, err := mlearn.NewByName(string(t), seed)
+		if err != nil {
+			// Unreachable: callers validate the name before training.
+			panic(err)
+		}
+		return c
+	}
 }
 
 // Technique returns the technique the profile was trained with.

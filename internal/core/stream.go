@@ -4,12 +4,13 @@
 // training run resumes past completed junctions.
 //
 // Resident memory is the feature matrix X (materialized once — every
-// batch classifier needs all rows) plus one junction *window* of label
-// columns (default 64); the full label matrix — the term that grows
-// with network size — is never resident. Each window re-streams the
-// corpus for its label columns, fits its classifiers in parallel with
-// the exact per-column seeds MultiOutput.Fit would use, and appends the
-// fitted models to the checkpoint. The assembled profile is therefore
+// batch classifier needs all rows) and its shared preprocessing, plus
+// one junction *window* of label columns (default 64); the full label
+// matrix — the term that grows with network size — is never resident.
+// Each window re-streams the corpus for its label columns and fits them
+// with mlearn.FitColumns, the column loop MultiOutput.Fit runs, over one
+// prepared matrix shared by every window; the fitted models are
+// appended to the checkpoint. The assembled profile is therefore
 // bit-identical to TrainProfile over the equivalent in-memory dataset —
 // the project's standing invariant, pinned by test on EPA-NET and WSSC.
 package core
@@ -23,8 +24,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"runtime"
-	"sync"
 
 	"github.com/aquascale/aquascale/internal/dataset"
 	"github.com/aquascale/aquascale/internal/mlearn"
@@ -151,15 +150,11 @@ func trainCorpusWindows(ctx context.Context, r *dataset.CorpusReader, cfg Profil
 		return fmt.Errorf("core: corpus yielded %d samples, declared %d", row, samples)
 	}
 
-	factory := func(seed int64) mlearn.Classifier {
-		c, err := mlearn.NewByName(string(cfg.Technique), seed)
-		if err != nil {
-			// Unreachable: the name was validated before training.
-			panic(err)
-		}
-		return c
-	}
+	factory := techniqueFactory(cfg.Technique)
 
+	// One prepared matrix serves every window, so binning and scaling
+	// happen once per training run.
+	px := mlearn.Prepare(x)
 	colsFlat := make([]int, window*samples)
 	for lo := fitted; lo < outputs; {
 		hi := lo + window
@@ -181,42 +176,14 @@ func trainCorpusWindows(ctx context.Context, r *dataset.CorpusReader, cfg Profil
 		if err != nil {
 			return err
 		}
-		row = 0
 
-		// Fit the window in parallel with MultiOutput.Fit's exact
-		// per-column seed derivation, so the streamed profile is
-		// bit-identical to the in-memory one.
-		errs := make([]error, hi-lo)
-		workers := runtime.NumCPU()
-		if workers > hi-lo {
-			workers = hi - lo
+		// FitColumns derives each column's seed from its index alone, so
+		// the streamed profile is bit-identical to the in-memory one.
+		column := func(v int, dst []int) {
+			copy(dst, colsFlat[(v-lo)*samples:(v-lo+1)*samples])
 		}
-		var wg sync.WaitGroup
-		work := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for v := range work {
-					col := colsFlat[(v-lo)*samples : (v-lo+1)*samples]
-					c := factory(cfg.Seed + int64(v)*31337)
-					if err := c.Fit(x, col); err != nil {
-						errs[v-lo] = fmt.Errorf("output %d: %w", v, err)
-						continue
-					}
-					models[v] = c
-				}
-			}()
-		}
-		for v := lo; v < hi; v++ {
-			work <- v
-		}
-		close(work)
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return fmt.Errorf("core: profile training: %w", err)
-			}
+		if err := mlearn.FitColumns(ctx, px, factory, cfg.Seed, lo, hi, column, models); err != nil {
+			return fmt.Errorf("core: profile training: %w", err)
 		}
 
 		if ck != nil {

@@ -184,6 +184,29 @@ func (d *Dataset) Y() [][]int {
 	return out
 }
 
+// packSamples moves the samples' Features and Labels into one backing
+// array each, replacing two allocations per sample with two per
+// dataset. Every sample keeps a cap-limited sub-slice, so appending to
+// one sample's slice reallocates instead of overwriting its neighbour.
+func packSamples(samples []Sample) {
+	nf, nl := 0, 0
+	for i := range samples {
+		nf += len(samples[i].Features)
+		nl += len(samples[i].Labels)
+	}
+	feats := make([]float64, nf)
+	labels := make([]int, nl)
+	for i := range samples {
+		s := &samples[i]
+		if k := copy(feats, s.Features); k > 0 {
+			s.Features, feats = feats[:k:k], feats[k:]
+		}
+		if k := copy(labels, s.Labels); k > 0 {
+			s.Labels, labels = labels[:k:k], labels[k:]
+		}
+	}
+}
+
 // Factory generates datasets for one network and sensor set.
 type Factory struct {
 	net       *network.Network
@@ -568,8 +591,9 @@ dispatch:
 	wg.Wait()
 
 	// Reduce in scenario order so both the fail-fast error and the skip
-	// report are deterministic for any worker scheduling.
-	kept := make([]Sample, 0, dispatched)
+	// report are deterministic for any worker scheduling. Kept samples
+	// are filtered in place.
+	kept := samples[:0]
 	var skipped []SkippedScenario
 	for i, err := range errs[:dispatched] {
 		if err == nil {
@@ -595,6 +619,8 @@ dispatch:
 		})
 	}
 	f.met.skipped.Add(int64(len(skipped)))
+	clear(samples[len(kept):])
+	packSamples(kept)
 	if ctxErr := ctx.Err(); ctxErr != nil {
 		return &Dataset{Samples: kept, Junctions: f.Junctions(), Skipped: skipped}, ctxErr
 	}

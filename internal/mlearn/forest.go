@@ -6,17 +6,17 @@ import (
 
 // RFConfig configures a random forest.
 type RFConfig struct {
-	// Trees is the ensemble size. Zero means 25.
+	// Trees is the ensemble size. Zero means 30.
 	Trees int
 
-	// MaxDepth per tree. Zero means 8.
+	// MaxDepth per tree. Zero means 10.
 	MaxDepth int
 
 	// MinLeaf per tree. Zero means 2.
 	MinLeaf int
 
 	// Mtry is the number of candidate features per split. Zero means
-	// ⌈√d⌉.
+	// (d+2)/3, at least 2 (see Fit).
 	Mtry int
 
 	// Seed drives bootstrap sampling and feature subsampling.
@@ -52,6 +52,11 @@ func NewRandomForest(cfg RFConfig) *RandomForest {
 // Fit grows the ensemble on bootstrap resamples with balanced class
 // weights.
 func (m *RandomForest) Fit(x [][]float64, y []int) error {
+	return m.fitPrepared(Prepare(x), y)
+}
+
+func (m *RandomForest) fitPrepared(px *Prepared, y []int) error {
+	x := px.x
 	d, err := validateXY(x, y)
 	if err != nil {
 		return err
@@ -80,7 +85,7 @@ func (m *RandomForest) Fit(x [][]float64, y []int) error {
 	oobSum := make([]float64, n)
 	oobCount := make([]int, n)
 	weight := make([]float64, n)
-	bin := newBinner(x) // shared across all trees
+	bin := px.bins() // shared across all trees and output columns
 
 	for t := 0; t < m.cfg.Trees; t++ {
 		// Bootstrap as multiplicative weights (keeps index slices simple).
@@ -100,7 +105,7 @@ func (m *RandomForest) Fit(x [][]float64, y []int) error {
 			}
 		}
 		treeRng := rand.New(rand.NewSource(m.cfg.Seed + int64(t)*7919 + 1))
-		g := newGrower(x, bin, target, weight, growConfig{
+		g := newGrower(bin, target, weight, growConfig{
 			maxDepth: m.cfg.MaxDepth,
 			minLeaf:  m.cfg.MinLeaf,
 			mtry:     mtry,

@@ -53,6 +53,11 @@ func NewGradientBoosting(cfg GBConfig) *GradientBoosting {
 
 // Fit runs Newton-style boosting with balanced class weights.
 func (m *GradientBoosting) Fit(x [][]float64, y []int) error {
+	return m.fitPrepared(Prepare(x), y)
+}
+
+func (m *GradientBoosting) fitPrepared(px *Prepared, y []int) error {
+	x := px.x
 	if _, err := validateXY(x, y); err != nil {
 		return err
 	}
@@ -85,7 +90,7 @@ func (m *GradientBoosting) Fit(x [][]float64, y []int) error {
 	hessian := make([]float64, n)
 	rng := rand.New(rand.NewSource(m.cfg.Seed))
 	m.trees = make([]*treeNode, 0, m.cfg.Rounds)
-	bin := newBinner(x) // shared across all boosting rounds
+	bin := px.bins() // shared across all boosting rounds and output columns
 
 	for round := 0; round < m.cfg.Rounds; round++ {
 		for i := 0; i < n; i++ {
@@ -112,7 +117,7 @@ func (m *GradientBoosting) Fit(x [][]float64, y []int) error {
 			}
 		}
 
-		g := newGrower(x, bin, residual, weight, growConfig{
+		g := newGrower(bin, residual, weight, growConfig{
 			maxDepth: m.cfg.MaxDepth,
 			minLeaf:  4,
 			leafValue: func(idx []int) float64 {

@@ -52,6 +52,13 @@ func NewHybridRSL(cfg HybridConfig) *HybridRSL {
 // Fit trains both legs, builds the meta-features, and fits the logistic
 // fusion layer.
 func (m *HybridRSL) Fit(x [][]float64, y []int) error {
+	return m.fitPrepared(Prepare(x), y)
+}
+
+// fitPrepared fits both full legs over px's shared bins and scaling;
+// the cross-fitting folds are row subsets and fit on their own.
+func (m *HybridRSL) fitPrepared(px *Prepared, y []int) error {
+	x := px.x
 	if _, err := validateXY(x, y); err != nil {
 		return err
 	}
@@ -61,7 +68,7 @@ func (m *HybridRSL) Fit(x [][]float64, y []int) error {
 	rfCfg := m.cfg.RF
 	rfCfg.Seed = m.cfg.Seed + 101
 	m.rf = NewRandomForest(rfCfg)
-	if err := m.rf.Fit(x, y); err != nil {
+	if err := m.rf.fitPrepared(px, y); err != nil {
 		return fmt.Errorf("hybrid-rsl: rf leg: %w", err)
 	}
 
@@ -96,12 +103,14 @@ func (m *HybridRSL) Fit(x [][]float64, y []int) error {
 	svmCfg := m.cfg.SVM
 	svmCfg.Seed = m.cfg.Seed + 307
 	m.svm = NewSVM(svmCfg)
-	if err := m.svm.Fit(x, y); err != nil {
+	if err := m.svm.fitPrepared(px, y); err != nil {
 		return fmt.Errorf("hybrid-rsl: svm leg: %w", err)
 	}
 	if !crossFit {
+		// In-sample probabilities from the shared standardized rows.
+		_, xs := px.standardized()
 		for i := range svmProba {
-			svmProba[i] = m.svm.PredictProba(x[i])
+			svmProba[i] = m.svm.probaScaled(xs[i])
 		}
 	}
 
@@ -115,6 +124,9 @@ func (m *HybridRSL) Fit(x [][]float64, y []int) error {
 		}
 		meta[i] = metaFeatures(rfP, svmProba[i])
 	}
+	// The out-of-bag estimates are training-only and never persisted;
+	// release them rather than hold them for the profile's lifetime.
+	m.rf.oob, m.rf.hasOO = nil, nil
 	m.meta = NewLogisticRegression(m.cfg.Meta)
 	if err := m.meta.Fit(meta, y); err != nil {
 		return fmt.Errorf("hybrid-rsl: meta layer: %w", err)

@@ -72,7 +72,7 @@ func TestBinnerRespectsOrder(t *testing.T) {
 	}
 	pairs := make([]pair, n)
 	for i := range x {
-		pairs[i] = pair{x[i][0], b.bins[i][0]}
+		pairs[i] = pair{x[i][0], b.cols[0][i]}
 	}
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {

@@ -3,14 +3,12 @@ package mlearn
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 )
 
 // MultiOutput transforms the multi-output leak classification into
 // independent per-node binary problems (paper Sec. III-B): one classifier
 // per node, all trained on the same features. Training parallelizes across
-// nodes.
+// nodes and shares one Prepared matrix (see FitColumns).
 type MultiOutput struct {
 	factory Factory
 	seed    int64
@@ -50,51 +48,17 @@ func (m *MultiOutput) FitContext(ctx context.Context, x [][]float64, y [][]int) 
 		}
 	}
 
-	m.models = make([]Classifier, outputs)
-	errs := make([]error, outputs)
-	workers := runtime.NumCPU()
-	if workers > outputs {
-		workers = outputs
-	}
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for v := range work {
-				col := make([]int, len(y))
-				for i := range y {
-					col[i] = y[i][v]
-				}
-				c := m.factory(m.seed + int64(v)*31337)
-				if err := c.Fit(x, col); err != nil {
-					errs[v] = fmt.Errorf("output %d: %w", v, err)
-					continue
-				}
-				m.models[v] = c
-			}
-		}()
-	}
-	cancelled := false
-	for v := 0; v < outputs; v++ {
-		if ctx.Err() != nil {
-			cancelled = true
-			break
+	models := make([]Classifier, outputs)
+	column := func(v int, dst []int) {
+		for i := range y {
+			dst[i] = y[i][v]
 		}
-		work <- v
 	}
-	close(work)
-	wg.Wait()
-	if cancelled {
+	if err := FitColumns(ctx, Prepare(x), m.factory, m.seed, 0, outputs, column, models); err != nil {
 		m.models = nil
-		return ctx.Err()
+		return err
 	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
+	m.models = models
 	return nil
 }
 

@@ -50,17 +50,20 @@ func NewSVM(cfg SVMConfig) *SVM {
 // Fit runs Pegasos with balanced class weights, then fits the Platt
 // sigmoid on the training margins.
 func (m *SVM) Fit(x [][]float64, y []int) error {
-	d, err := validateXY(x, y)
+	return m.fitPrepared(Prepare(x), y)
+}
+
+func (m *SVM) fitPrepared(px *Prepared, y []int) error {
+	d, err := validateXY(px.x, y)
 	if err != nil {
 		return err
 	}
-	m.scale = fitScaler(x)
+	var xs [][]float64
+	m.scale, xs = px.standardized()
 	cw := classWeights(y)
-	n := len(x)
-	xs := make([][]float64, n)
+	n := len(xs)
 	sign := make([]float64, n)
-	for i := range x {
-		xs[i] = m.scale.transform(x[i])
+	for i := range xs {
 		if y[i] == 1 {
 			sign[i] = 1
 		} else {
@@ -145,8 +148,13 @@ func (m *SVM) PredictProba(x []float64) float64 {
 	if !m.fitted {
 		return 0
 	}
-	xi := m.scale.transform(cleanFeatures(x))
-	margin := matrix.Dot(m.w, xi) + m.bias
+	return m.probaScaled(m.scale.transform(cleanFeatures(x)))
+}
+
+// probaScaled is PredictProba for a row already standardized by m's
+// scaler.
+func (m *SVM) probaScaled(xs []float64) float64 {
+	margin := matrix.Dot(m.w, xs) + m.bias
 	return sigmoid(m.plattA*margin + m.plattB)
 }
 

@@ -6,23 +6,27 @@ import (
 )
 
 // CART trees with histogram-based split finding: every feature is
-// quantile-binned once per Fit (at most 32 bins), and split search scans
-// per-bin weight/target histograms instead of re-sorting samples at every
-// node. This is the standard trick from modern boosting systems; it makes
-// per-node split cost O(samples + bins) per feature and lets the forest
-// and booster train on tens of thousands of hydraulic scenarios.
+// quantile-binned once per feature matrix (at most 32 bins) — a Prepared
+// matrix bins once and shares the result with every tree of every output
+// column fitted over it — and split search scans per-bin weight/target
+// histograms instead of re-sorting samples at every node. This is the
+// standard trick from modern boosting systems; it makes per-node split
+// cost O(samples + bins) per feature and lets the forest and booster
+// train on tens of thousands of hydraulic scenarios.
 
 const maxBins = 32
 
 // binner holds per-feature quantile bin edges and the precomputed bin
-// index of every (sample, feature) pair.
+// index of every (sample, feature) pair, stored column-major so split
+// search reads one contiguous column per candidate feature.
 type binner struct {
 	// edges[f] are ascending cut values; bin b covers values in
 	// (edges[b-1], edges[b]]; the last bin is open-ended.
 	edges [][]float64
 
-	// bins[i] is sample i's bin index per feature.
-	bins [][]uint8
+	// cols[f][i] is sample i's bin index for feature f. All columns
+	// share one backing array.
+	cols [][]uint8
 }
 
 // newBinner computes quantile bins for the feature matrix.
@@ -31,8 +35,9 @@ func newBinner(x [][]float64) *binner {
 	d := len(x[0])
 	b := &binner{
 		edges: make([][]float64, d),
-		bins:  make([][]uint8, n),
+		cols:  make([][]uint8, d),
 	}
+	flat := make([]uint8, n*d)
 	vals := make([]float64, n)
 	for f := 0; f < d; f++ {
 		for i := range x {
@@ -48,16 +53,14 @@ func newBinner(x [][]float64) *binner {
 			}
 		}
 		b.edges[f] = edges
-	}
-	for i := range x {
-		row := make([]uint8, d)
-		for f := 0; f < d; f++ {
-			row[f] = uint8(sort.SearchFloat64s(b.edges[f], x[i][f]))
+		col := flat[f*n : (f+1)*n : (f+1)*n]
+		for i := range x {
 			// SearchFloat64s returns the first edge ≥ value, so values
 			// equal to an edge land in that edge's bin — consistent with
 			// the (lo, hi] convention used at prediction time.
+			col[i] = uint8(sort.SearchFloat64s(edges, x[i][f]))
 		}
-		b.bins[i] = row
+		b.cols[f] = col
 	}
 	return b
 }
@@ -109,29 +112,34 @@ type growConfig struct {
 // proportional to weighted Gini — so the same criterion serves
 // classification and regression.
 type grower struct {
-	x      [][]float64
 	bin    *binner
 	target []float64
 	weight []float64
+	wt     []float64 // weight[i]·target[i], fixed for the tree
 	cfg    growConfig
 	feats  []int // scratch: candidate feature ids
 
-	histW  [maxBins]float64
-	histWT [maxBins]float64
+	// hist[b] is bin b's (Σweight, Σweight·target) for the feature
+	// being scanned.
+	hist [maxBins][2]float64
 }
 
-// newGrower prepares a grower; bin may be shared across trees built from
-// the same matrix (random forest, boosting rounds).
-func newGrower(x [][]float64, bin *binner, target, weight []float64, cfg growConfig) *grower {
+// newGrower prepares a grower for one tree; bin is shared by every tree
+// built from the same matrix (random forest, boosting rounds, output
+// columns).
+func newGrower(bin *binner, target, weight []float64, cfg growConfig) *grower {
 	if cfg.maxDepth <= 0 {
 		cfg.maxDepth = 6
 	}
 	if cfg.minLeaf <= 0 {
 		cfg.minLeaf = 2
 	}
-	g := &grower{x: x, bin: bin, target: target, weight: weight, cfg: cfg}
-	d := len(x[0])
-	g.feats = make([]int, d)
+	g := &grower{bin: bin, target: target, weight: weight, cfg: cfg}
+	g.wt = make([]float64, len(weight))
+	for i, w := range weight {
+		g.wt[i] = w * target[i]
+	}
+	g.feats = make([]int, len(bin.cols))
 	for j := range g.feats {
 		g.feats[j] = j
 	}
@@ -140,15 +148,11 @@ func newGrower(x [][]float64, bin *binner, target, weight []float64, cfg growCon
 
 // growAll builds a tree over all samples.
 func (g *grower) growAll() *treeNode {
-	indices := make([]int, len(g.x))
+	indices := make([]int, len(g.target))
 	for i := range indices {
 		indices[i] = i
 	}
 	return g.grow(indices, 0)
-}
-
-func growTree(x [][]float64, target, weight []float64, cfg growConfig) *treeNode {
-	return newGrower(x, newBinner(x), target, weight, cfg).growAll()
 }
 
 func (g *grower) grow(indices []int, depth int) *treeNode {
@@ -160,9 +164,10 @@ func (g *grower) grow(indices []int, depth int) *treeNode {
 		return &treeNode{leaf: true, value: g.cfg.leafValue(indices)}
 	}
 	// Partition in place: left = bin ≤ split bin.
+	col := g.bin.cols[feat]
 	lo, hi := 0, len(indices)
 	for lo < hi {
-		if int(g.bin.bins[indices[lo]][feat]) <= bin {
+		if int(col[indices[lo]]) <= bin {
 			lo++
 		} else {
 			hi--
@@ -204,7 +209,7 @@ func (g *grower) bestSplit(indices []int) (feature, bin int, ok bool) {
 	var wSum, wtSum float64
 	for _, i := range indices {
 		wSum += g.weight[i]
-		wtSum += g.weight[i] * g.target[i]
+		wtSum += g.wt[i]
 	}
 	if wSum <= 0 {
 		return 0, 0, false
@@ -217,19 +222,20 @@ func (g *grower) bestSplit(indices []int) (feature, bin int, ok bool) {
 		if nb < 2 {
 			continue
 		}
-		for b := 0; b < nb; b++ {
-			g.histW[b] = 0
-			g.histWT[b] = 0
+		hist := g.hist[:nb]
+		for b := range hist {
+			hist[b] = [2]float64{}
 		}
+		col := g.bin.cols[f]
 		for _, i := range indices {
-			b := g.bin.bins[i][f]
-			g.histW[b] += g.weight[i]
-			g.histWT[b] += g.weight[i] * g.target[i]
+			h := &hist[col[i]]
+			h[0] += g.weight[i]
+			h[1] += g.wt[i]
 		}
 		var lw, lwt float64
 		for b := 0; b+1 < nb; b++ {
-			lw += g.histW[b]
-			lwt += g.histWT[b]
+			lw += hist[b][0]
+			lwt += hist[b][1]
 			if lw <= 0 {
 				continue
 			}
@@ -286,7 +292,7 @@ func (m *DecisionTree) Fit(x [][]float64, y []int) error {
 		target[i] = float64(v)
 		weight[i] = cw[v]
 	}
-	m.root = growTree(x, target, weight, growConfig{
+	m.root = newGrower(newBinner(x), target, weight, growConfig{
 		maxDepth: m.cfg.MaxDepth,
 		minLeaf:  m.cfg.MinLeaf,
 		leafValue: func(indices []int) float64 {
@@ -300,7 +306,7 @@ func (m *DecisionTree) Fit(x [][]float64, y []int) error {
 			}
 			return wt / w
 		},
-	})
+	}).growAll()
 	return nil
 }
 
