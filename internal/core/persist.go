@@ -3,6 +3,7 @@ package core
 import (
 	"bufio"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 
@@ -65,12 +66,18 @@ func LoadProfile(r io.Reader) (*Profile, error) {
 	}, nil
 }
 
+// ErrFeatureOutOfRange is returned by SetProfile for a profile whose
+// trees split on a feature index the deployment's sensor vector lacks.
+var ErrFeatureOutOfRange = errors.New("core: profile splits on a feature the deployment does not have")
+
 // SetProfile installs a pre-trained (e.g. loaded) profile into the system.
 // The swap is atomic: concurrent Localize calls see either the old or the
 // new profile in full, never a mix, so online services can hot-reload a
-// profile under load. Any compiled snapshot (and its baseline memo) is
-// dropped — it was built from the previous profile — so callers on the
-// fast path must Compile again after swapping.
+// profile under load. A profile that does not fit the deployment (node
+// count, split features) is refused and the installed one stays. Any
+// compiled snapshot (and its baseline memo) is dropped — it was built
+// from the previous profile — so callers on the fast path must Compile
+// again after swapping.
 func (s *System) SetProfile(p *Profile) error {
 	if p == nil {
 		return fmt.Errorf("core: nil profile")
@@ -78,6 +85,9 @@ func (s *System) SetProfile(p *Profile) error {
 	if p.nodeCount != len(s.net.Nodes) {
 		return fmt.Errorf("core: profile covers %d nodes, network has %d",
 			p.nodeCount, len(s.net.Nodes))
+	}
+	if f, n := p.model.MaxSplitFeature(), s.factory.SensorCount(); f >= n {
+		return fmt.Errorf("%w: feature %d, %d sensors", ErrFeatureOutOfRange, f, n)
 	}
 	s.profile.Store(p)
 	s.compiled.Store(nil)

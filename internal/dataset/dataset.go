@@ -580,6 +580,12 @@ func (f *Factory) GenerateContext(ctx context.Context, count int, rng *rand.Rand
 	dispatched := count
 dispatch:
 	for i := 0; i < count; i++ {
+		// A select with a ready worker and a done ctx picks either case
+		// at random, so check ctx first: a cancelled run starts nothing.
+		if ctx.Err() != nil {
+			dispatched = i
+			break
+		}
 		select {
 		case work <- i:
 		case <-ctx.Done():

@@ -19,3 +19,35 @@ func BenchmarkFit(b *testing.B) {
 		})
 	}
 }
+
+// predictSink keeps BenchmarkPredict's result live.
+var predictSink float64
+
+// BenchmarkPredict evaluates one row through a compiled bank fitted on
+// the 800-sample EPA-NET dataset (91 junction columns, depth-10 trees),
+// the served profile shape. Run with -benchmem; every row must report
+// 0 allocs/op.
+func BenchmarkPredict(b *testing.B) {
+	x, y := epanetData(b, 800)
+	for _, name := range []string{"rf", "gb", "hybrid-rsl"} {
+		b.Run(name, func(b *testing.B) {
+			mo := NewMultiOutput(namedFactory(b, name), 77)
+			if err := mo.Fit(x, y); err != nil {
+				b.Fatal(err)
+			}
+			cm, err := mo.Compile()
+			if err != nil {
+				b.Fatal(err)
+			}
+			out := make([]float64, cm.Outputs())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := cm.PredictProbaInto(x[i%len(x)], out); err != nil {
+					b.Fatal(err)
+				}
+			}
+			predictSink = out[0]
+		})
+	}
+}

@@ -4,15 +4,17 @@ package mlearn
 //
 // Compile converts a fitted classifier into a read-only form that
 // evaluates without heap allocations: tree ensembles are flattened into
-// contiguous node-major arrays traversed with a branchless child select,
-// and the linear family inlines feature standardization into the weight
-// accumulation loop. Compiled predictions are bit-identical to the
-// source classifier: the flat traversal preserves the
+// one contiguous array of packed node records and descended a block of
+// up to 32 trees at a time, one level per step, with a branch-free child
+// select; the linear family inlines feature standardization into the
+// weight accumulation loop. Compiled predictions are bit-identical to
+// the source classifier: block descent keeps the
 // `x[f] <= threshold → left` split predicate (including its
-// NaN-goes-right behavior), and the linear path keeps the exact
-// transform-then-dot operation order of scaler.transform + matrix.Dot —
-// the scaler is never algebraically folded into the weights, which would
-// change floating-point rounding.
+// NaN-goes-right behavior) and the ensembles add leaf values in tree
+// order, the pointer path's addition sequence; the linear path keeps
+// the exact transform-then-dot operation order of scaler.transform +
+// matrix.Dot — the scaler is never algebraically folded into the
+// weights, which would change floating-point rounding.
 
 import "fmt"
 
@@ -32,62 +34,77 @@ type cleanPredictor interface {
 	predictClean(x []float64) float64
 }
 
-const flatLeaf = int32(-1)
+// packedNode is one compiled tree node. A split sends x left iff
+// x[feat] <= thr; a leaf has feat 0, stores its value in thr and links
+// to itself through both kids, so a step taken at a leaf stays there.
+type packedNode struct {
+	thr  float64
+	feat int32
+	kid  [2]int32 // left, right
+}
 
-// flatArena stores one or more flattened trees in node-major parallel
-// arrays. Node i's split feature is feature[i] (flatLeaf marks a leaf,
-// whose prediction is stored in threshold[i]); its children are
-// child[2i] (left) and child[2i+1] (right). Trees are laid out in
-// preorder so a node's left child is adjacent to it.
+// descendBlock is how many trees descend side by side.
+const descendBlock = 32
+
+// flatArena stores one or more compiled trees, each laid out in
+// preorder (a node's left child is adjacent to it), with their root
+// offsets and the deepest tree's root-to-leaf edge count.
 type flatArena struct {
-	feature   []int32
-	threshold []float64
-	child     []int32
-	roots     []int32
+	nodes []packedNode
+	roots []int32
+	depth int
 }
 
 // appendTree flattens the pointer tree rooted at n into the arena and
 // records its root offset.
 func (a *flatArena) appendTree(n *treeNode) {
-	a.roots = append(a.roots, a.walk(n))
+	root, depth := a.walk(n)
+	a.roots = append(a.roots, root)
+	a.depth = max(a.depth, depth)
 }
 
-func (a *flatArena) walk(n *treeNode) int32 {
-	idx := int32(len(a.feature))
+// walk appends the subtree at n and returns its offset and depth.
+func (a *flatArena) walk(n *treeNode) (int32, int) {
+	idx := int32(len(a.nodes))
 	if n.leaf {
-		a.feature = append(a.feature, flatLeaf)
-		a.threshold = append(a.threshold, n.value)
-		a.child = append(a.child, 0, 0)
-		return idx
+		a.nodes = append(a.nodes, packedNode{thr: n.value, kid: [2]int32{idx, idx}})
+		return idx, 0
 	}
-	a.feature = append(a.feature, int32(n.feature))
-	a.threshold = append(a.threshold, n.threshold)
-	a.child = append(a.child, 0, 0)
-	a.child[2*idx] = a.walk(n.left)
-	a.child[2*idx+1] = a.walk(n.right)
-	return idx
+	a.nodes = append(a.nodes, packedNode{thr: n.threshold, feat: int32(n.feature)})
+	left, dl := a.walk(n.left)
+	right, dr := a.walk(n.right)
+	a.nodes[idx].kid = [2]int32{left, right}
+	return idx, 1 + max(dl, dr)
 }
 
-// predict traverses the tree at root r. The branch predicate mirrors
-// treeNode.predict exactly — left iff x[f] <= threshold, so NaN (never
-// ≤) goes right — but the child index is computed as a select instead
-// of a pointer chase through two possible fields.
-func (a *flatArena) predict(r int32, x []float64) float64 {
-	i := r
-	f := a.feature[i]
-	for f >= 0 {
-		b := int32(1)
-		if x[f] <= a.threshold[i] {
-			b = 0
+// descend moves each node index in blk (at most descendBlock trees,
+// starting at their roots) down to its leaf. The whole block steps one
+// level at a time: the predicate mirrors treeNode.predict exactly —
+// left iff x[f] <= thr, so NaN (never ≤) goes right — but the child is
+// picked by a select rather than a branch, so trees of different path
+// lengths cost no mispredictions. Leaves loop to themselves, so descent
+// ends once no index moved, and after at most depth steps.
+func (a *flatArena) descend(x []float64, blk []int32) {
+	nodes, depth := a.nodes, a.depth
+	for step := 0; step < depth; step++ {
+		moved := int32(0)
+		for j, i := range blk {
+			n := &nodes[i]
+			next, right := n.kid[0], n.kid[1]
+			if !(x[n.feat] <= n.thr) {
+				next = right
+			}
+			moved |= next ^ i
+			blk[j] = next
 		}
-		i = a.child[2*i+b]
-		f = a.feature[i]
+		if moved == 0 {
+			return
+		}
 	}
-	return a.threshold[i]
 }
 
-// nodes returns the total flattened node count across all trees.
-func (a *flatArena) nodes() int { return len(a.feature) }
+// nodeCount returns the total flattened node count across all trees.
+func (a *flatArena) nodeCount() int { return len(a.nodes) }
 
 // FlatTree is the compiled form of DecisionTree.
 type FlatTree struct {
@@ -110,14 +127,16 @@ func (m *DecisionTree) Compile() (*FlatTree, error) {
 func (t *FlatTree) PredictProba(x []float64) float64 { return t.predictClean(cleanFeatures(x)) }
 
 func (t *FlatTree) predictClean(x []float64) float64 {
-	return clamp01(t.a.predict(t.a.roots[0], x))
+	blk := [1]int32{t.a.roots[0]}
+	t.a.descend(x, blk[:])
+	return clamp01(t.a.nodes[blk[0]].thr)
 }
 
 // Nodes reports the flattened node count.
-func (t *FlatTree) Nodes() int { return t.a.nodes() }
+func (t *FlatTree) Nodes() int { return t.a.nodeCount() }
 
 // FlatForest is the compiled form of RandomForest: all trees share one
-// arena, walked root by root.
+// arena, descended a block at a time.
 type FlatForest struct {
 	a flatArena
 	n float64 // float64(#trees), the divisor of the ensemble mean
@@ -141,15 +160,22 @@ func (m *RandomForest) Compile() (*FlatForest, error) {
 func (f *FlatForest) PredictProba(x []float64) float64 { return f.predictClean(cleanFeatures(x)) }
 
 func (f *FlatForest) predictClean(x []float64) float64 {
+	var blk [descendBlock]int32
 	sum := 0.0
-	for _, r := range f.a.roots {
-		sum += f.a.predict(r, x)
+	for roots := f.a.roots; len(roots) > 0; {
+		n := copy(blk[:], roots)
+		roots = roots[n:]
+		f.a.descend(x, blk[:n])
+		// Leaf values are summed in tree order, as the pointer path does.
+		for _, i := range blk[:n] {
+			sum += f.a.nodes[i].thr
+		}
 	}
 	return clamp01(sum / f.n)
 }
 
 // Nodes reports the flattened node count across all trees.
-func (f *FlatForest) Nodes() int { return f.a.nodes() }
+func (f *FlatForest) Nodes() int { return f.a.nodeCount() }
 
 // FlatGBM is the compiled form of GradientBoosting.
 type FlatGBM struct {
@@ -176,17 +202,23 @@ func (m *GradientBoosting) Compile() (*FlatGBM, error) {
 func (g *FlatGBM) PredictProba(x []float64) float64 { return g.predictClean(cleanFeatures(x)) }
 
 func (g *FlatGBM) predictClean(x []float64) float64 {
-	// Stages accumulate sequentially in training order — the same
-	// rounding sequence as the pointer path.
+	var blk [descendBlock]int32
 	score := g.bias
-	for _, r := range g.a.roots {
-		score += g.lr * g.a.predict(r, x)
+	for roots := g.a.roots; len(roots) > 0; {
+		n := copy(blk[:], roots)
+		roots = roots[n:]
+		g.a.descend(x, blk[:n])
+		// Stages accumulate sequentially in training order — the same
+		// rounding sequence as the pointer path.
+		for _, i := range blk[:n] {
+			score += g.lr * g.a.nodes[i].thr
+		}
 	}
 	return sigmoid(score)
 }
 
 // Nodes reports the flattened node count across all stages.
-func (g *FlatGBM) Nodes() int { return g.a.nodes() }
+func (g *FlatGBM) Nodes() int { return g.a.nodeCount() }
 
 // scaledDot standardizes x on the fly and accumulates the weighted sum
 // in index order — exactly the operations of scaler.transform followed

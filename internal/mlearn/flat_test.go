@@ -253,3 +253,96 @@ func TestCompileUnfitted(t *testing.T) {
 		}
 	}
 }
+
+// treeArena returns the compiled tree arena of a tree-ensemble model.
+func treeArena(t *testing.T, cc Compiled) *flatArena {
+	t.Helper()
+	switch m := cc.(type) {
+	case *FlatForest:
+		return &m.a
+	case *FlatGBM:
+		return &m.a
+	case *FlatHybrid:
+		return &m.rf.a
+	}
+	t.Fatalf("%T has no tree arena", cc)
+	return nil
+}
+
+// arenaProbes builds prediction inputs aimed at the compiled trees:
+// the base rows, then for every split a base row with the split feature
+// set exactly to the threshold (a tie, which goes left) and to the next
+// float above it, then base rows with a split feature made NaN, +Inf or
+// -Inf.
+func arenaProbes(a *flatArena, base [][]float64) [][]float64 {
+	out := append([][]float64(nil), base...)
+	with := func(row []float64, f int, v float64) []float64 {
+		p := append([]float64(nil), row...)
+		p[f] = v
+		return p
+	}
+	for i, n := range a.nodes {
+		if n.kid[0] == int32(i) {
+			continue // leaf
+		}
+		row := base[i%len(base)]
+		out = append(out, with(row, int(n.feat), n.thr), with(row, int(n.feat), math.Nextafter(n.thr, math.Inf(1))))
+	}
+	for ti, r := range a.roots {
+		row := base[ti%len(base)]
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			out = append(out, with(row, int(a.nodes[r].feat), v))
+		}
+	}
+	return out
+}
+
+// TestCompiledMatchesPointerEPANet pins compiled == pointer bit for bit
+// on the served profile shape: tree ensembles fitted on the 800-sample
+// EPA-NET set (depth-10 forests), including a 70-tree forest and GBM's
+// 60 stages, which span more than one descent block; every ensemble
+// ends in a partial block. Probes hit every split threshold exactly and
+// carry non-finite features.
+func TestCompiledMatchesPointerEPANet(t *testing.T) {
+	x, y := epanetData(t, 800)
+	base := append([][]float64{make([]float64, len(x[0]))}, x[:8]...)
+	cases := []struct {
+		name  string
+		model func(seed int64) Classifier
+	}{
+		{"rf", func(seed int64) Classifier { return NewRandomForest(RFConfig{Seed: seed}) }},
+		{"rf-70", func(seed int64) Classifier { return NewRandomForest(RFConfig{Trees: 70, Seed: seed}) }},
+		{"gb", func(seed int64) Classifier { return NewGradientBoosting(GBConfig{Seed: seed}) }},
+		{"hybrid-rsl", func(seed int64) Classifier { return NewHybridRSL(HybridConfig{Seed: seed}) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, v := range []int{0, 45, 90} {
+				col := make([]int, len(y))
+				for i := range y {
+					col[i] = y[i][v]
+				}
+				c := tc.model(int64(v))
+				if err := c.Fit(x, col); err != nil {
+					t.Fatalf("column %d: fit: %v", v, err)
+				}
+				cc, err := Compile(c)
+				if err != nil {
+					t.Fatalf("column %d: compile: %v", v, err)
+				}
+				a := treeArena(t, cc)
+				if len(a.roots)%descendBlock == 0 {
+					t.Fatalf("column %d: %d trees fill whole blocks", v, len(a.roots))
+				}
+				for pi, probe := range arenaProbes(a, base) {
+					want := c.PredictProba(probe)
+					got := cc.PredictProba(probe)
+					if math.Float64bits(want) != math.Float64bits(got) {
+						t.Fatalf("column %d probe %d: pointer %v != compiled %v", v, pi, want, got)
+					}
+				}
+				t.Logf("column %d: %d trees, depth %d, %d nodes", v, len(a.roots), a.depth, len(a.nodes))
+			}
+		})
+	}
+}

@@ -83,6 +83,41 @@ func AssembleMultiOutput(seed int64, models []Classifier) (*MultiOutput, error) 
 // Outputs returns the number of trained outputs.
 func (m *MultiOutput) Outputs() int { return len(m.models) }
 
+// MaxSplitFeature returns the largest feature index any tree split in
+// the bank reads, or -1 if none does. A loaded bank can evaluate an
+// input only when this is below the input's width.
+func (m *MultiOutput) MaxSplitFeature() int {
+	f := -1
+	for _, c := range m.models {
+		f = max(f, maxSplitFeature(c))
+	}
+	return f
+}
+
+// maxSplitFeature is MaxSplitFeature for one classifier.
+func maxSplitFeature(c Classifier) int {
+	var roots []*treeNode
+	switch m := c.(type) {
+	case *DecisionTree:
+		if m.root != nil {
+			roots = []*treeNode{m.root}
+		}
+	case *RandomForest:
+		roots = m.trees
+	case *GradientBoosting:
+		roots = m.trees
+	case *HybridRSL:
+		if m.rf != nil {
+			roots = m.rf.trees
+		}
+	}
+	f := -1
+	for _, r := range roots {
+		f = max(f, r.maxFeature())
+	}
+	return f
+}
+
 // PredictProba returns P(y_v = 1 | x) for every output v — the paper's
 // predict_proba. Non-finite features are treated as 0 (see Classifier);
 // sanitization happens once here and the cleaned vector is shared by

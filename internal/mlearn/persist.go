@@ -17,6 +17,10 @@ import (
 // ErrUnknownModelKind is returned when decoding an unrecognized tag.
 var ErrUnknownModelKind = errors.New("mlearn: unknown model kind")
 
+// ErrCorruptTree is returned when a decoded tree is not a well-formed
+// binary tree in preorder.
+var ErrCorruptTree = errors.New("mlearn: corrupt tree")
+
 // envelope wraps any model state with its kind tag.
 type envelope struct {
 	Kind    string
@@ -58,6 +62,14 @@ func flattenTree(root *treeNode) []flatNode {
 	return out
 }
 
+// unflattenTree rebuilds a pointer tree from its preorder form. The
+// input may come from outside the process (a profile upload), so the
+// structure is checked before any traversal could run on it: every
+// split links strictly forward (Left, Right > i, as flattenTree writes
+// them), every node but the root has exactly one parent, and split
+// features are non-negative. Forward links rule out cycles, such as a
+// node linked to itself, and single parents rule out shared subtrees,
+// so the result is a tree whose every walk terminates.
 func unflattenTree(nodes []flatNode) (*treeNode, error) {
 	if len(nodes) == 0 {
 		return nil, nil
@@ -71,16 +83,31 @@ func unflattenTree(nodes []flatNode) (*treeNode, error) {
 			leaf:      nodes[i].Leaf,
 		}
 	}
+	hasParent := make([]bool, len(nodes))
 	for i, fn := range nodes {
 		if fn.Leaf {
 			continue
 		}
-		if fn.Left < 0 || fn.Left >= len(built) || fn.Right < 0 || fn.Right >= len(built) {
-			return nil, fmt.Errorf("mlearn: corrupt tree: node %d links (%d,%d) out of %d",
-				i, fn.Left, fn.Right, len(built))
+		if fn.Feature < 0 {
+			return nil, fmt.Errorf("%w: node %d splits on feature %d", ErrCorruptTree, i, fn.Feature)
+		}
+		for _, kid := range [2]int{fn.Left, fn.Right} {
+			if kid <= i || kid >= len(nodes) {
+				return nil, fmt.Errorf("%w: node %d links (%d,%d), want forward links below %d",
+					ErrCorruptTree, i, fn.Left, fn.Right, len(nodes))
+			}
+			if hasParent[kid] {
+				return nil, fmt.Errorf("%w: node %d has two parents", ErrCorruptTree, kid)
+			}
+			hasParent[kid] = true
 		}
 		built[i].left = built[fn.Left]
 		built[i].right = built[fn.Right]
+	}
+	for i := 1; i < len(nodes); i++ {
+		if !hasParent[i] {
+			return nil, fmt.Errorf("%w: node %d is unreachable", ErrCorruptTree, i)
+		}
 	}
 	return built[0], nil
 }

@@ -2,6 +2,7 @@ package mlearn
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -139,5 +140,64 @@ func TestMultiOutputSaveUnfitted(t *testing.T) {
 	var buf bytes.Buffer
 	if err := mo.Save(&buf); err != ErrNotFitted {
 		t.Fatalf("err = %v, want ErrNotFitted", err)
+	}
+}
+
+// craftedTree encodes a "tree" envelope holding nodes as given, the way
+// an untrusted profile upload could.
+func craftedTree(t *testing.T, nodes []flatNode) *bytes.Buffer {
+	t.Helper()
+	var payload, buf bytes.Buffer
+	if err := encodeGob(&payload, treeState{Nodes: nodes}); err != nil {
+		t.Fatal(err)
+	}
+	if err := encodeGob(&buf, envelope{Kind: "tree", Payload: payload.Bytes()}); err != nil {
+		t.Fatal(err)
+	}
+	return &buf
+}
+
+// TestLoadClassifierRejectsMalformedTrees pins the decode-time structure
+// check: a self-linked node used to decode cleanly and then overflow the
+// stack in Compile (or loop forever in predict).
+func TestLoadClassifierRejectsMalformedTrees(t *testing.T) {
+	leaf := flatNode{Leaf: true, Left: -1, Right: -1, Value: 0.5}
+	cases := map[string][]flatNode{
+		"self-linked":      {{Feature: 0, Left: 0, Right: 0}},
+		"back-link":        {{Feature: 0, Left: 1, Right: 2}, {Feature: 1, Left: 0, Right: 3}, leaf, leaf},
+		"shared-child":     {{Feature: 0, Left: 1, Right: 1}, leaf},
+		"two-parents":      {{Feature: 0, Left: 1, Right: 2}, {Feature: 1, Left: 2, Right: 3}, leaf, leaf},
+		"unreachable":      {{Feature: 0, Left: 1, Right: 2}, leaf, leaf, leaf},
+		"negative-feature": {{Feature: -1, Left: 1, Right: 2}, leaf, leaf},
+		"out-of-bounds":    {{Feature: 0, Left: 1, Right: 9}, leaf},
+	}
+	for name, nodes := range cases {
+		t.Run(name, func(t *testing.T) {
+			c, err := LoadClassifier(craftedTree(t, nodes))
+			if !errors.Is(err, ErrCorruptTree) {
+				t.Fatalf("LoadClassifier = %v, %v; want ErrCorruptTree", c, err)
+			}
+		})
+	}
+}
+
+// TestLoadClassifierReportsSplitFeature pins the other crafted input: a
+// split on feature 7 is structurally valid, so it decodes, and the bank
+// reports it so a deployment with fewer features can refuse it before
+// any evaluation indexes past the input.
+func TestLoadClassifierReportsSplitFeature(t *testing.T) {
+	leaf := flatNode{Leaf: true, Left: -1, Right: -1}
+	c, err := LoadClassifier(craftedTree(t, []flatNode{{Feature: 7, Left: 1, Right: 2}, leaf, leaf}))
+	if err != nil {
+		t.Fatalf("LoadClassifier: %v", err)
+	}
+	if got := maxSplitFeature(c); got != 7 {
+		t.Fatalf("maxSplitFeature = %d, want 7", got)
+	}
+	if got := (&MultiOutput{models: []Classifier{NewLinearRegression(LinearConfig{}), c}}).MaxSplitFeature(); got != 7 {
+		t.Fatalf("MaxSplitFeature = %d, want 7", got)
+	}
+	if got := (&MultiOutput{models: []Classifier{NewLinearRegression(LinearConfig{})}}).MaxSplitFeature(); got != -1 {
+		t.Fatalf("MaxSplitFeature without trees = %d, want -1", got)
 	}
 }

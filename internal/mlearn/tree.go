@@ -94,6 +94,15 @@ func (n *treeNode) predict(x []float64) float64 {
 	return n.value
 }
 
+// maxFeature returns the largest split feature in the subtree at n, or
+// -1 for a leaf.
+func (n *treeNode) maxFeature() int {
+	if n.leaf {
+		return -1
+	}
+	return max(n.feature, n.left.maxFeature(), n.right.maxFeature())
+}
+
 // growConfig parameterizes the CART grower.
 type growConfig struct {
 	maxDepth int

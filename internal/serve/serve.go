@@ -794,7 +794,9 @@ func (s *Server) retryAfterSeconds() int {
 
 // SwapProfile atomically installs a new profile; concurrent jobs see
 // either the old or the new one in full. The profile must cover the
-// served network (checked by core.System.SetProfile). The swap drops the
+// served network and split only on features its sensors provide
+// (checked by core.System.SetProfile; a refused profile leaves the live
+// one installed and uncounted as a swap). The swap drops the
 // compiled snapshot and its baseline memo, so the new profile is
 // recompiled here; if that fails the swap stands and serving continues
 // correctly on the pointer path.
