@@ -27,7 +27,7 @@
 // # Fleet mode
 //
 // -fleet MANIFEST serves many districts from one daemon instead of
-// -profile: each district gets its own compiled snapshot, queue and
+// -profile: each district gets its own compiled profile, queue and
 // result window carved from the shared -workers budget, and the API
 // nests under /v1/districts/{id}/... (observe, localize, trace, status,
 // profile, requests, drain) with a fleet-wide GET /v1/status. The
@@ -86,7 +86,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		timeout      = fs.Duration("timeout", 0, "per-request deadline from enqueue (0 = 5s)")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "shutdown drain budget for in-flight jobs")
 		gamma        = fs.Float64("gamma", 30, "default tweet coarseness gamma in meters")
-		batchMax     = fs.Int("batch-max", 0, "max same-hour readings requests scored per shared baseline lookup (0 = 8, 1 = off)")
 		fSlow        = fs.Float64("fault-request-slow", 0, "injected per-request slow-localize probability")
 		fDelay       = fs.Duration("fault-request-delay", 0, "injected delay for a slowed request (0 = 50ms)")
 		fFail        = fs.Float64("fault-request-fail", 0, "injected per-request forced-failure probability")
@@ -125,7 +124,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		QueueSize:          *queueSize,
 		RequestTimeout:     *timeout,
 		GammaM:             *gamma,
-		BatchMax:           *batchMax,
 		TraceSample:        *traceSample,
 		TraceSlowThreshold: *traceSlow,
 		TraceBuffer:        *traceBuffer,
@@ -157,13 +155,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		path := "pointer path"
-		if server.Status().Compiled {
-			path = "compiled observe path"
-		}
-		fmt.Fprintf(out, "aquad: %s profile on %s (%d nodes, %d sensors), %d workers, queue %d, %s\n",
+		fmt.Fprintf(out, "aquad: %s profile on %s (%d nodes, %d sensors), %d workers, queue %d\n",
 			built.profile.Technique(), built.nw.Name, len(built.nw.Nodes), built.sensors,
-			server.Config().Workers, server.Config().QueueSize, path)
+			server.Config().Workers, server.Config().QueueSize)
 		handler = server.Handler()
 		shutdown = server.Shutdown
 	}

@@ -16,15 +16,17 @@ import (
 )
 
 // ServingLatency measures the Phase-II observe hot path the way the
-// serving daemon drives it: per-request Localize latency on EPA-NET,
-// pointer-tree path (pre-compile, one allocation-heavy Localize per
-// request) vs. the compiled flattened path (System.Compile +
-// LocalizeInto on a reused buffer), plus the same requests served
-// end-to-end through a one-district Fleet (Submit, queue, worker
-// hand-off). All paths replay the same recorded observations; the figure
-// also asserts the paths stay bit-identical, which is the correctness
-// contract the fast path and the serving layer ship under. Structural
-// columns are deterministic; the latency columns are wall-clock.
+// serving daemon drives it: per-request latency on EPA-NET of the
+// pointer-tree model bank (Profile.PredictProba, the fitting-time form
+// kept as the test oracle, one allocation-heavy call per request) vs.
+// the compiled profile every System serves (LocalizeInto on a reused
+// buffer), plus the same requests served end-to-end through a
+// one-district Fleet (Submit, queue, worker hand-off). All paths replay
+// the same recorded evidence-free observations, so fusion leaves the
+// probabilities untouched and the figure can assert the paths stay
+// bit-identical, which is the correctness contract the compiled profile
+// and the serving layer ship under. Structural columns are
+// deterministic; the latency columns are wall-clock.
 func ServingLatency(scale Scale) (*Figure, error) {
 	scale = scale.withDefaults()
 	fig := &Figure{
@@ -69,24 +71,21 @@ func ServingLatency(scale Scale) (*Figure, error) {
 	}
 
 	// Pointer path first, recording its probabilities for the parity check.
+	prof := sys.Profile()
 	pointerProba := make([][]float64, len(observations))
 	for i, obs := range observations {
-		pred, _, err := sys.Localize(obs)
+		proba, err := prof.PredictProba(obs.Features)
 		if err != nil {
 			return nil, fmt.Errorf("bench: serving-latency pointer: %w", err)
 		}
-		pointerProba[i] = pred.Proba
+		pointerProba[i] = proba
 	}
 	pointerLat, err := timeRequests(requests, func(i int) error {
-		_, _, err := sys.Localize(observations[i%len(observations)])
+		_, err := prof.PredictProba(observations[i%len(observations)].Features)
 		return err
 	})
 	if err != nil {
 		return nil, fmt.Errorf("bench: serving-latency pointer: %w", err)
-	}
-
-	if err := sys.Compile(); err != nil {
-		return nil, fmt.Errorf("bench: serving-latency compile: %w", err)
 	}
 
 	// Parity: the compiled path must be bit-identical to the pointer path.
@@ -183,7 +182,7 @@ func ServingLatency(scale Scale) (*Figure, error) {
 	fig.Tables = append(fig.Tables, table)
 	fig.Notes = append(fig.Notes,
 		fmt.Sprintf("compiled probabilities bit-identical to pointer path on all %d observations", len(observations)),
-		"compiled path uses System.Compile + LocalizeInto on a reused buffer (0 allocs/op; see BenchmarkObserve)",
+		"pointer path is Profile.PredictProba; compiled path is System.LocalizeInto on a reused buffer (0 allocs/op; see BenchmarkObserve)",
 		"fleet served drives Submit+wait through a one-district serve.Fleet (queue, worker hand-off, result window) and stays bit-identical to offline Localize",
 	)
 	return fig, nil

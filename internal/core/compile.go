@@ -32,10 +32,8 @@ func (p *Profile) Compile() (*CompiledProfile, error) {
 	// exactly when the column→node map is strictly increasing (as
 	// TrainProfile builds it from JunctionIndices). Reject anything else
 	// rather than corrupt the buffer silently.
-	for col, nodeIdx := range p.junctions {
-		if nodeIdx < 0 || nodeIdx >= p.nodeCount || (col > 0 && nodeIdx <= p.junctions[col-1]) {
-			return nil, fmt.Errorf("core: compile profile: junction columns are not strictly increasing node indices")
-		}
+	if err := checkJunctions(p.junctions, p.nodeCount); err != nil {
+		return nil, fmt.Errorf("core: compile profile: %w", err)
 	}
 	isJunction := make([]bool, p.nodeCount)
 	for _, v := range p.junctions {
@@ -115,55 +113,76 @@ func (m *baselineMemo) put(hour int, vals []float64) {
 	m.byKey[memoKey{m.fingerprint, hour}] = vals
 }
 
-// compiledSnapshot binds a compiled profile to the exact *Profile it was
-// built from, plus the baseline memo. Localize uses the snapshot only
-// while its source profile is still the installed one, so a profile
-// hot-swap implicitly invalidates both the flattened models and the memo
-// (and TrainOn/SetProfile additionally drop the snapshot outright).
-type compiledSnapshot struct {
+// installed is the one record Localize reads: a profile, its compiled
+// form and the baseline memo, built together by newRecord and published
+// with one pointer store, so a request sees all three from the same
+// install.
+type installed struct {
 	profile *Profile
 	model   *CompiledProfile
 	memo    *baselineMemo
 }
 
-// Compile pre-builds the serving fast path for the installed profile:
-// every per-node classifier is flattened (mlearn.Compile) and the
-// quiescent baseline for the factory's base hour is memoized, so observe
-// requests neither chase tree pointers nor re-run the hydraulic solve.
-// The snapshot is bound to the current profile; TrainOn and SetProfile
-// drop it, and callers hot-swapping profiles must Compile again.
-func (s *System) Compile() error {
-	p := s.profile.Load()
+// install makes p the live profile, built by newRecord; a profile that
+// fails any step is refused and the live record keeps serving.
+func (s *System) install(p *Profile) error {
+	rec, err := s.newRecord(p)
+	if err != nil {
+		return err
+	}
+	s.live.Store(rec)
+	return nil
+}
+
+// newRecord checks p against the deployment (node count, and feature
+// width via mlearn's CheckWidth), compiles it and warms a fresh baseline
+// memo for the factory's base hour.
+func (s *System) newRecord(p *Profile) (*installed, error) {
 	if p == nil {
-		return fmt.Errorf("core: compile: system not trained")
+		return nil, fmt.Errorf("core: nil profile")
+	}
+	if p.nodeCount != len(s.net.Nodes) {
+		return nil, fmt.Errorf("core: profile covers %d nodes, network has %d",
+			p.nodeCount, len(s.net.Nodes))
+	}
+	if err := p.model.CheckWidth(s.factory.SensorCount()); err != nil {
+		return nil, fmt.Errorf("%w: %d sensors: %v", ErrFeatureOutOfRange, s.factory.SensorCount(), err)
 	}
 	cp, err := p.Compile()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	memo := newBaselineMemo(s.net.Fingerprint())
 	base := s.factory.BaseTime()
 	vals, err := s.factory.BaselineReadings(base)
 	if err != nil {
-		return fmt.Errorf("core: compile: baseline: %w", err)
+		return nil, fmt.Errorf("core: install profile: baseline: %w", err)
 	}
 	memo.put(patternHour(base), vals)
-	s.compiled.Store(&compiledSnapshot{profile: p, model: cp, memo: memo})
-	return nil
+	return &installed{profile: p, model: cp, memo: memo}, nil
 }
 
-// Compiled reports whether a compiled snapshot matching the installed
-// profile is active — i.e. whether Localize takes the fast path.
-func (s *System) Compiled() bool {
-	snap := s.compiled.Load()
-	return snap != nil && snap.profile == s.profile.Load()
+// Compile re-installs the live profile: its compiled form is rebuilt and
+// the baseline memo starts over from the base hour. An install that lands
+// while Compile runs wins; Compile never puts back a profile it replaced.
+func (s *System) Compile() error {
+	old := s.live.Load()
+	if old == nil {
+		return fmt.Errorf("core: compile: system not trained")
+	}
+	rec, err := s.newRecord(old.profile)
+	if err != nil {
+		return err
+	}
+	s.live.CompareAndSwap(old, rec)
+	return nil
 }
 
 // QuiescentBaseline returns the leak-free noise-free sensor readings for
 // the given pattern hour (hours outside [0,24) wrap into the daily
-// cycle). With a compiled snapshot installed the result is memoized by
-// (network fingerprint, hour); otherwise it falls back to the factory's
-// solver cache. The returned slice is shared — treat it as read-only.
+// cycle). Once a profile is installed the result is memoized by (network
+// fingerprint, hour); before that it comes from the factory's solver
+// cache. The returned slice is shared — treat it as read-only.
 func (s *System) QuiescentBaseline(hour int) ([]float64, error) {
 	return s.QuiescentBaselineContext(context.Background(), hour)
 }
@@ -178,12 +197,12 @@ func (s *System) QuiescentBaselineContext(ctx context.Context, hour int) ([]floa
 	tr := telemetry.TraceFrom(ctx)
 	h := ((hour % 24) + 24) % 24
 	t := time.Duration(h) * time.Hour
-	snap := s.compiled.Load()
-	if snap == nil {
+	rec := s.live.Load()
+	if rec == nil {
 		tr.EventValue(telemetry.StageBaselineMemoMiss, float64(h))
 		return s.factory.BaselineReadings(t)
 	}
-	if vals, ok := snap.memo.get(h); ok {
+	if vals, ok := rec.memo.get(h); ok {
 		tr.EventValue(telemetry.StageBaselineMemoHit, float64(h))
 		return vals, nil
 	}
@@ -192,7 +211,7 @@ func (s *System) QuiescentBaselineContext(ctx context.Context, hour int) ([]floa
 	if err != nil {
 		return nil, err
 	}
-	snap.memo.put(h, vals)
+	rec.memo.put(h, vals)
 	return vals, nil
 }
 

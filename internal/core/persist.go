@@ -47,16 +47,19 @@ func LoadProfile(r io.Reader) (*Profile, error) {
 		return nil, fmt.Errorf("core: decode profile header: %w", err)
 	}
 	if h.NodeCount <= 0 || len(h.Junctions) == 0 {
-		return nil, fmt.Errorf("core: corrupt profile header: %d nodes, %d junctions",
-			h.NodeCount, len(h.Junctions))
+		return nil, fmt.Errorf("%w: header has %d nodes, %d junctions",
+			ErrCorruptProfile, h.NodeCount, len(h.Junctions))
+	}
+	if err := checkJunctions(h.Junctions, h.NodeCount); err != nil {
+		return nil, err
 	}
 	model, err := mlearn.LoadMultiOutput(br)
 	if err != nil {
 		return nil, err
 	}
 	if model.Outputs() != len(h.Junctions) {
-		return nil, fmt.Errorf("core: profile has %d outputs but %d junction columns",
-			model.Outputs(), len(h.Junctions))
+		return nil, fmt.Errorf("%w: %d outputs but %d junction columns",
+			ErrCorruptProfile, model.Outputs(), len(h.Junctions))
 	}
 	return &Profile{
 		technique: Technique(h.Technique),
@@ -66,30 +69,36 @@ func LoadProfile(r io.Reader) (*Profile, error) {
 	}, nil
 }
 
-// ErrFeatureOutOfRange is returned by SetProfile for a profile whose
-// trees split on a feature index the deployment's sensor vector lacks.
-var ErrFeatureOutOfRange = errors.New("core: profile splits on a feature the deployment does not have")
+// ErrCorruptProfile is returned by LoadProfile for a profile whose
+// header cannot describe a trained bank: no nodes or junctions, a
+// junction column map that is not strictly increasing within
+// [0, NodeCount), or a bank whose output count differs from it.
+var ErrCorruptProfile = errors.New("core: corrupt profile")
 
-// SetProfile installs a pre-trained (e.g. loaded) profile into the system.
-// The swap is atomic: concurrent Localize calls see either the old or the
-// new profile in full, never a mix, so online services can hot-reload a
-// profile under load. A profile that does not fit the deployment (node
-// count, split features) is refused and the installed one stays. Any
-// compiled snapshot (and its baseline memo) is dropped — it was built
-// from the previous profile — so callers on the fast path must Compile
-// again after swapping.
-func (s *System) SetProfile(p *Profile) error {
-	if p == nil {
-		return fmt.Errorf("core: nil profile")
+// checkJunctions validates a label column → node index map for a
+// nodeCount-node network: node indices strictly increasing within
+// [0, nodeCount), as TrainProfile builds it from JunctionIndices.
+func checkJunctions(junctions []int, nodeCount int) error {
+	for col, v := range junctions {
+		if v < 0 || v >= nodeCount || (col > 0 && v <= junctions[col-1]) {
+			return fmt.Errorf("%w: junction column %d maps to node %d (%d nodes; columns must map to strictly increasing node indices)",
+				ErrCorruptProfile, col, v, nodeCount)
+		}
 	}
-	if p.nodeCount != len(s.net.Nodes) {
-		return fmt.Errorf("core: profile covers %d nodes, network has %d",
-			p.nodeCount, len(s.net.Nodes))
-	}
-	if f, n := p.model.MaxSplitFeature(), s.factory.SensorCount(); f >= n {
-		return fmt.Errorf("%w: feature %d, %d sensors", ErrFeatureOutOfRange, f, n)
-	}
-	s.profile.Store(p)
-	s.compiled.Store(nil)
 	return nil
 }
+
+// ErrFeatureOutOfRange is returned by SetProfile for a profile whose
+// models read a feature index the deployment's sensor vector lacks: a
+// tree split past it, or a linear, logistic or SVM leg whose weights and
+// scaler are not exactly one per sensor.
+var ErrFeatureOutOfRange = errors.New("core: profile reads features the deployment does not have")
+
+// SetProfile installs a pre-trained (e.g. loaded) profile into the system,
+// compiled. The swap is atomic: concurrent Localize calls see either the
+// old or the new profile in full, never a mix, so online services can
+// hot-reload a profile under load. A profile that does not fit the
+// deployment (node count, feature width) or does not compile is refused
+// and the installed one stays. The baseline memo starts over with the
+// new profile.
+func (s *System) SetProfile(p *Profile) error { return s.install(p) }

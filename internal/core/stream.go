@@ -204,9 +204,9 @@ func trainCorpusWindows(ctx context.Context, r *dataset.CorpusReader, cfg Profil
 // TrainFromCorpus runs streamed Phase-I training against the system's
 // live factory: the corpus must match the deployment (fingerprint +
 // config digest, failing fast with ErrCorpusMismatch otherwise), and on
-// success the profile is installed with the same atomic swap TrainOn
-// uses. For a corpus generated by GenerateCorpus at seed s this is
-// bit-identical to Train with rng seed s.
+// success the profile is installed compiled, as TrainOn does. For a
+// corpus generated by GenerateCorpus at seed s this is bit-identical to
+// Train with rng seed s.
 func (s *System) TrainFromCorpus(ctx context.Context, r *dataset.CorpusReader, cfg ProfileConfig, opt CorpusTrainOptions) error {
 	if err := r.Match(s.factory); err != nil {
 		return err
@@ -215,9 +215,7 @@ func (s *System) TrainFromCorpus(ctx context.Context, r *dataset.CorpusReader, c
 	if err != nil {
 		return err
 	}
-	s.profile.Store(p)
-	s.compiled.Store(nil)
-	return nil
+	return s.install(p)
 }
 
 // Training checkpoint file: a header binding the checkpoint to one

@@ -37,18 +37,18 @@ type Observation struct {
 
 // System is a trained AquaSCALE instance for one network and sensor set.
 //
-// Every field but the profile is immutable after NewSystem, and the
-// profile is held behind an atomic pointer, so one System is safe to
-// share across goroutines: concurrent Localize calls may run against a
-// concurrent SetProfile hot-swap and always see a complete profile.
+// Every field but the live record is immutable after NewSystem, and the
+// record (profile, compiled form, baseline memo) is held behind one
+// atomic pointer, so one System is safe to share across goroutines:
+// concurrent Localize calls may run against a concurrent SetProfile
+// hot-swap and always see a complete, compiled profile.
 type System struct {
-	net      *network.Network
-	factory  *dataset.Factory
-	profile  atomic.Pointer[Profile]
-	compiled atomic.Pointer[compiledSnapshot]
-	engine   *fusion.Engine
-	freeze   weather.FreezeModel
-	social   social.Config
+	net     *network.Network
+	factory *dataset.Factory
+	live    atomic.Pointer[installed]
+	engine  *fusion.Engine
+	freeze  weather.FreezeModel
+	social  social.Config
 }
 
 // SystemConfig wires a System.
@@ -112,106 +112,88 @@ func (s *System) TrainContext(ctx context.Context, samples int, cfg ProfileConfi
 	return s.TrainOn(ds, cfg)
 }
 
-// TrainOn fits the profile on a pre-built dataset. Any compiled snapshot
-// is dropped — it belongs to the previous profile.
+// TrainOn fits the profile on a pre-built dataset and installs it
+// compiled, the way SetProfile does.
 func (s *System) TrainOn(ds *dataset.Dataset, cfg ProfileConfig) error {
 	p, err := TrainProfile(ds, len(s.net.Nodes), cfg)
 	if err != nil {
 		return err
 	}
-	s.profile.Store(p)
-	s.compiled.Store(nil)
-	return nil
+	return s.install(p)
 }
 
-// Profile returns the trained profile (nil before Train).
-func (s *System) Profile() *Profile { return s.profile.Load() }
+// Profile returns the installed profile (nil before Train).
+func (s *System) Profile() *Profile {
+	if rec := s.live.Load(); rec != nil {
+		return rec.profile
+	}
+	return nil
+}
 
 // Localize runs Phase II on one observation: profile prediction, then
 // freeze-evidence fusion, then human-input event tuning. It returns the
 // fused prediction and the nodes added by human input.
 //
-// Localize is safe for concurrent use — it reads the profile pointer
-// once and touches no mutable System state — and is deterministic: the
-// result depends only on the observation and the installed profile.
-// After Compile it evaluates through the flattened snapshot, which is
-// bit-identical to the pointer path.
+// Localize is safe for concurrent use — it reads the live record once
+// and touches no mutable System state — and is deterministic: the result
+// depends only on the observation and the installed profile. It
+// evaluates through the compiled profile, which is bit-identical to
+// Profile.PredictProba.
 func (s *System) Localize(obs Observation) (*fusion.Prediction, []int, error) {
 	return s.LocalizeContext(context.Background(), obs)
 }
 
 // LocalizeContext is Localize with per-request trace propagation: when
 // ctx carries a telemetry.Trace (see telemetry.ContextWithTrace) the
-// evaluation path records its stage events — compiled vs. pointer eval
-// and the junction scatter — onto it. An untraced context adds one nil
-// check and nothing else; the result is identical either way.
+// evaluation records its stage events — the compiled eval and the
+// junction scatter — onto it. An untraced context adds one nil check and
+// nothing else; the result is identical either way.
 func (s *System) LocalizeContext(ctx context.Context, obs Observation) (*fusion.Prediction, []int, error) {
-	pred, added, _, err := s.LocalizeContextPath(ctx, obs)
-	return pred, added, err
-}
-
-// LocalizeContextPath is LocalizeContext additionally reporting which
-// inference path actually served the call: compiled is true iff the
-// flattened snapshot scored this observation. Callers attributing
-// metrics must use this instead of re-querying Compiled() afterwards —
-// a concurrent SetProfile/Compile can drop or restore the snapshot
-// between the evaluation and the query, misattributing the path.
-func (s *System) LocalizeContextPath(ctx context.Context, obs Observation) (*fusion.Prediction, []int, bool, error) {
 	pred := &fusion.Prediction{Proba: make([]float64, len(s.net.Nodes))}
-	added, compiled, err := s.localizeInto(pred, obs, telemetry.TraceFrom(ctx))
+	added, err := s.localizeInto(pred, obs, telemetry.TraceFrom(ctx))
 	if err != nil {
-		return nil, nil, false, err
+		return nil, nil, err
 	}
-	return pred, added, compiled, nil
+	return pred, added, nil
 }
 
 // LocalizeInto is Localize writing into a caller-owned prediction whose
-// Proba buffer has one slot per network node. With a compiled snapshot
-// installed (see Compile) the evaluation itself is allocation-free;
-// without one it falls back to the pointer path and copies. Reusing pred
-// across calls overwrites earlier results, so callers must not retain
-// predictions they hand back in.
+// Proba buffer has one slot per network node; the evaluation itself is
+// allocation-free. Reusing pred across calls overwrites earlier results,
+// so callers must not retain predictions they hand back in.
 func (s *System) LocalizeInto(pred *fusion.Prediction, obs Observation) ([]int, error) {
-	added, _, err := s.localizeInto(pred, obs, nil)
-	return added, err
+	return s.localizeInto(pred, obs, nil)
 }
 
 // LocalizeIntoContext is LocalizeInto with per-request trace propagation
-// (see LocalizeContext). With no trace on ctx it preserves the compiled
-// path's zero-allocation contract bit for bit — the tracing hooks cost
-// one nil check each, the same contract the telemetry registry honors.
+// (see LocalizeContext). With no trace on ctx it preserves the
+// zero-allocation contract bit for bit — the tracing hooks cost one nil
+// check each, the same contract the telemetry registry honors.
 func (s *System) LocalizeIntoContext(ctx context.Context, pred *fusion.Prediction, obs Observation) ([]int, error) {
-	added, _, err := s.localizeInto(pred, obs, telemetry.TraceFrom(ctx))
-	return added, err
+	return s.localizeInto(pred, obs, telemetry.TraceFrom(ctx))
 }
 
-func (s *System) localizeInto(pred *fusion.Prediction, obs Observation, tr *telemetry.Trace) ([]int, bool, error) {
-	p := s.profile.Load()
-	if p == nil {
-		return nil, false, fmt.Errorf("core: system not trained")
+func (s *System) localizeInto(pred *fusion.Prediction, obs Observation, tr *telemetry.Trace) ([]int, error) {
+	rec := s.live.Load()
+	if rec == nil {
+		return nil, fmt.Errorf("core: system not trained")
 	}
 	if len(pred.Proba) != len(s.net.Nodes) {
-		return nil, false, fmt.Errorf("core: prediction buffer has %d slots, network has %d",
+		return nil, fmt.Errorf("core: prediction buffer has %d slots, network has %d",
 			len(pred.Proba), len(s.net.Nodes))
 	}
-	compiled := false
-	if snap := s.compiled.Load(); snap != nil && snap.profile == p {
-		compiled = true
-		tr.Event(telemetry.StageEvalCompiled)
-		if err := snap.model.PredictProbaInto(obs.Features, pred.Proba); err != nil {
-			return nil, false, err
-		}
-		tr.EventValue(telemetry.StageJunctionScatter, float64(len(snap.model.junctions)))
-	} else {
-		tr.Event(telemetry.StageEvalPointer)
-		proba, err := p.PredictProba(obs.Features)
-		if err != nil {
-			return nil, false, err
-		}
-		copy(pred.Proba, proba)
+	// Install checked the profile's width against the sensor count, so
+	// this check is all that keeps evaluation inside the feature vector.
+	if n := s.factory.SensorCount(); len(obs.Features) != n {
+		return nil, fmt.Errorf("core: observation has %d features, deployment has %d sensors",
+			len(obs.Features), n)
 	}
-	added, err := s.engine.Refine(pred, obs.Frozen, obs.Cliques)
-	return added, compiled, err
+	tr.Event(telemetry.StageEvalCompiled)
+	if err := rec.model.PredictProbaInto(obs.Features, pred.Proba); err != nil {
+		return nil, err
+	}
+	tr.EventValue(telemetry.StageJunctionScatter, float64(len(rec.model.junctions)))
+	return s.engine.Refine(pred, obs.Frozen, obs.Cliques)
 }
 
 // ColdScenario is a leak scenario caused by low temperature: leak

@@ -358,7 +358,7 @@ func (h *FlatHybrid) predictClean(x []float64) float64 {
 	svmP := h.svm.predictClean(x)
 	// Same layout as metaFeatures, but on the stack: probabilities are
 	// finite by construction, so the meta layer can skip sanitization.
-	mf := [4]float64{rfP, svmP, clippedLogit(rfP), clippedLogit(svmP)}
+	mf := [metaWidth]float64{rfP, svmP, clippedLogit(rfP), clippedLogit(svmP)}
 	return h.meta.predictClean(mf[:])
 }
 

@@ -150,6 +150,9 @@ func hasBothClassesInFolds(y []int) bool {
 	return true
 }
 
+// metaWidth is the width of the meta layer's input (see metaFeatures).
+const metaWidth = 4
+
 // metaFeatures maps the two legs' probabilities into the fusion layer's
 // feature space: raw probabilities plus clipped log-odds. The logit
 // features let the logistic layer implement a calibrated opinion pool; the

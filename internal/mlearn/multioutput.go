@@ -83,19 +83,24 @@ func AssembleMultiOutput(seed int64, models []Classifier) (*MultiOutput, error) 
 // Outputs returns the number of trained outputs.
 func (m *MultiOutput) Outputs() int { return len(m.models) }
 
-// MaxSplitFeature returns the largest feature index any tree split in
-// the bank reads, or -1 if none does. A loaded bank can evaluate an
-// input only when this is below the input's width.
-func (m *MultiOutput) MaxSplitFeature() int {
-	f := -1
-	for _, c := range m.models {
-		f = max(f, maxSplitFeature(c))
+// CheckWidth reports whether every classifier in the bank can evaluate
+// an n-wide input without reading past it or past its own coefficients:
+// tree splits must fall below n, and every linear, logistic and SVM leg
+// must hold exactly n weights and an n-wide scaler (a hybrid's logistic
+// meta layer, which reads the stacked leg outputs, exactly metaWidth).
+// A bank fitted on n-wide rows always passes; a decoded one may not.
+// Unfitted models are skipped — Compile refuses them.
+func (m *MultiOutput) CheckWidth(n int) error {
+	for v, c := range m.models {
+		if err := checkWidth(c, n); err != nil {
+			return fmt.Errorf("mlearn: output %d: %w", v, err)
+		}
 	}
-	return f
+	return nil
 }
 
-// maxSplitFeature is MaxSplitFeature for one classifier.
-func maxSplitFeature(c Classifier) int {
+// checkWidth is CheckWidth for one classifier.
+func checkWidth(c Classifier, n int) error {
 	var roots []*treeNode
 	switch m := c.(type) {
 	case *DecisionTree:
@@ -106,16 +111,45 @@ func maxSplitFeature(c Classifier) int {
 		roots = m.trees
 	case *GradientBoosting:
 		roots = m.trees
+	case *LinearRegression:
+		return checkAffine("linear", m.fitted, m.w, m.scale, n)
+	case *LogisticRegression:
+		return checkAffine("logistic", m.fitted, m.w, m.scale, n)
+	case *SVM:
+		return checkAffine("svm", m.fitted, m.w, m.scale, n)
 	case *HybridRSL:
-		if m.rf != nil {
-			roots = m.rf.trees
+		if !m.fitted {
+			return nil
+		}
+		for _, err := range []error{checkWidth(m.rf, n), checkWidth(m.svm, n), checkWidth(m.meta, metaWidth)} {
+			if err != nil {
+				return fmt.Errorf("hybrid-rsl: %w", err)
+			}
 		}
 	}
-	f := -1
 	for _, r := range roots {
-		f = max(f, r.maxFeature())
+		if f := r.maxFeature(); f >= n {
+			return fmt.Errorf("tree splits on feature %d of a %d-wide input", f, n)
+		}
 	}
-	return f
+	return nil
+}
+
+// checkAffine requires a fitted linear-family model to read exactly n
+// inputs: n weights, n scaler means and n inverse deviations.
+func checkAffine(kind string, fitted bool, w []float64, s *scaler, n int) error {
+	if !fitted {
+		return nil
+	}
+	var mean, inv []float64
+	if s != nil {
+		mean, inv = s.mean, s.inv
+	}
+	if len(w) != n || len(mean) != n || len(inv) != n {
+		return fmt.Errorf("%s has %d weights, %d means and %d inverse deviations for a %d-wide input",
+			kind, len(w), len(mean), len(inv), n)
+	}
+	return nil
 }
 
 // PredictProba returns P(y_v = 1 | x) for every output v — the paper's

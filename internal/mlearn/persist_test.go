@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -182,22 +183,60 @@ func TestLoadClassifierRejectsMalformedTrees(t *testing.T) {
 }
 
 // TestLoadClassifierReportsSplitFeature pins the other crafted input: a
-// split on feature 7 is structurally valid, so it decodes, and the bank
-// reports it so a deployment with fewer features can refuse it before
-// any evaluation indexes past the input.
+// split on feature 7 is structurally valid, so it decodes, and the bank's
+// width check refuses it for a deployment with fewer features before any
+// evaluation indexes past the input.
 func TestLoadClassifierReportsSplitFeature(t *testing.T) {
 	leaf := flatNode{Leaf: true, Left: -1, Right: -1}
 	c, err := LoadClassifier(craftedTree(t, []flatNode{{Feature: 7, Left: 1, Right: 2}, leaf, leaf}))
 	if err != nil {
 		t.Fatalf("LoadClassifier: %v", err)
 	}
-	if got := maxSplitFeature(c); got != 7 {
-		t.Fatalf("maxSplitFeature = %d, want 7", got)
+	bank := &MultiOutput{models: []Classifier{NewLinearRegression(LinearConfig{}), c}}
+	if err := bank.CheckWidth(7); err == nil || !strings.Contains(err.Error(), "feature 7") {
+		t.Fatalf("CheckWidth(7) = %v, want a split on feature 7 refused", err)
 	}
-	if got := (&MultiOutput{models: []Classifier{NewLinearRegression(LinearConfig{}), c}}).MaxSplitFeature(); got != 7 {
-		t.Fatalf("MaxSplitFeature = %d, want 7", got)
+	if err := bank.CheckWidth(8); err != nil {
+		t.Fatalf("CheckWidth(8) = %v, want nil", err)
 	}
-	if got := (&MultiOutput{models: []Classifier{NewLinearRegression(LinearConfig{})}}).MaxSplitFeature(); got != -1 {
-		t.Fatalf("MaxSplitFeature without trees = %d, want -1", got)
+}
+
+// TestCheckWidthAffine pins the width check for the linear family: a
+// fitted linear, logistic or SVM leg must carry exactly one weight and
+// one scaler entry per input feature, including inside a hybrid stack.
+func TestCheckWidthAffine(t *testing.T) {
+	x, y := blobs(rand.New(rand.NewSource(1)), 80, 0.5)
+	ys := make([][]int, len(y))
+	for i, v := range y {
+		ys[i] = []int{v}
+	}
+	for _, name := range []string{"linear", "logistic", "svm", "hybrid-rsl"} {
+		t.Run(name, func(t *testing.T) {
+			bank := NewMultiOutput(func(seed int64) Classifier {
+				c, err := NewByName(name, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return c
+			}, 1)
+			if err := bank.Fit(x, ys); err != nil {
+				t.Fatalf("Fit: %v", err)
+			}
+			if err := bank.CheckWidth(2); err != nil {
+				t.Fatalf("CheckWidth(fitted width) = %v", err)
+			}
+			if err := bank.CheckWidth(1); err == nil {
+				t.Fatal("CheckWidth accepted a narrower input")
+			}
+		})
+	}
+
+	wide := &LinearRegression{fitted: true, w: make([]float64, 4), scale: &scaler{mean: make([]float64, 4), inv: make([]float64, 4)}}
+	short := &LinearRegression{fitted: true, w: make([]float64, 3), scale: &scaler{mean: make([]float64, 3), inv: make([]float64, 1)}}
+	bare := &LinearRegression{fitted: true, w: make([]float64, 3)}
+	for name, c := range map[string]Classifier{"wide": wide, "short-scaler": short, "no-scaler": bare} {
+		if err := (&MultiOutput{models: []Classifier{c}}).CheckWidth(3); err == nil {
+			t.Fatalf("%s linear leg accepted for a 3-wide input", name)
+		}
 	}
 }

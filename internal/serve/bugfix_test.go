@@ -65,55 +65,6 @@ func TestRetryAfterSubSecondMax(t *testing.T) {
 	}
 }
 
-// TestFastPathMetricsReportTakenPath pins the metrics-truth fix: the
-// fast-path counter must report the path the evaluation actually took,
-// not the snapshot state re-queried after the fact (which a concurrent
-// SwapProfile can change mid-request).
-func TestFastPathMetricsReportTakenPath(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1})
-	feats := testFeatures(s.System(), 17)
-
-	j, err := s.Submit(ObserveRequest{Features: feats, Seed: 1})
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	waitResult(t, j)
-	compiledJobs := s.Status().FastPathJobs
-	if compiledJobs < 1 {
-		t.Fatalf("FastPathJobs = %d after a compiled-path job, want ≥ 1", compiledJobs)
-	}
-
-	// Drop the snapshot without recompiling (SetProfile directly, unlike
-	// SwapProfile): the next job runs the pointer path and must NOT count.
-	if err := s.System().SetProfile(testbed.profile); err != nil {
-		t.Fatalf("SetProfile: %v", err)
-	}
-	if s.System().Compiled() {
-		t.Fatal("snapshot survived SetProfile")
-	}
-	j, err = s.Submit(ObserveRequest{Features: feats, Seed: 2})
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	waitResult(t, j)
-	if got := s.Status().FastPathJobs; got != compiledJobs {
-		t.Fatalf("FastPathJobs = %d after a pointer-path job, want unchanged %d", got, compiledJobs)
-	}
-
-	// SwapProfile recompiles; fast-path accounting resumes.
-	if err := s.SwapProfile(testbed.profile); err != nil {
-		t.Fatalf("SwapProfile: %v", err)
-	}
-	j, err = s.Submit(ObserveRequest{Features: feats, Seed: 3})
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	waitResult(t, j)
-	if got := s.Status().FastPathJobs; got != compiledJobs+1 {
-		t.Fatalf("FastPathJobs = %d after recompile, want %d", got, compiledJobs+1)
-	}
-}
-
 // TestRejectedSubmissionTraced pins the rejected-trace fix: a submission
 // refused at queue-full with a client-forced traceparent must land in
 // the flight recorder with an error stage and surface its trace id on
@@ -188,18 +139,13 @@ func TestRejectedSubmissionTraced(t *testing.T) {
 	}
 }
 
-// TestBatchedObserveBitIdentity pins the micro-batching invariant under
-// -race: concurrent same-hour Readings requests scored as one batch
-// produce results bit-identical to offline System.Localize on each
-// request's own subtracted deltas.
+// TestBatchedObserveBitIdentity pins the readings path under -race:
+// concurrent same-hour Readings requests, each resolving the memoized
+// baseline on its own worker, produce results bit-identical to offline
+// System.Localize on each request's own subtracted deltas.
 func TestBatchedObserveBitIdentity(t *testing.T) {
-	s := newTestServer(t, Config{
-		Workers:        1,
-		QueueSize:      16,
-		BatchMax:       4,
-		RequestTimeout: 30 * time.Second,
-		Faults:         faults.Config{RequestSlow: 1, RequestDelay: 300 * time.Millisecond},
-	})
+	const n = 8
+	s := newTestServer(t, Config{Workers: 4, QueueSize: 2 * n, RequestTimeout: 30 * time.Second})
 	sys := s.System()
 	want := sys.Factory().SensorCount()
 	hour := 11
@@ -208,32 +154,31 @@ func TestBatchedObserveBitIdentity(t *testing.T) {
 		t.Fatalf("QuiescentBaseline: %v", err)
 	}
 
-	// Block the single worker so the Readings submissions below queue up
-	// and board together.
-	blocker, err := s.Submit(ObserveRequest{Features: testFeatures(sys, 1), Seed: 1})
-	if err != nil {
-		t.Fatalf("Submit blocker: %v", err)
-	}
-	time.Sleep(50 * time.Millisecond)
-
-	const members = 3
-	jobs := make([]*Job, members)
-	readings := make([][]float64, members)
+	jobs := make([]*Job, n)
+	readings := make([][]float64, n)
+	var wg sync.WaitGroup
 	for i := range jobs {
 		deltas := testFeatures(sys, int64(40+i))
 		readings[i] = make([]float64, want)
 		for k := range deltas {
 			readings[i][k] = base[k] + deltas[k]
 		}
-		j, err := s.Submit(ObserveRequest{Readings: readings[i], PatternHour: &hour, Seed: int64(50 + i)})
-		if err != nil {
-			t.Fatalf("Submit readings %d: %v", i, err)
-		}
-		jobs[i] = j
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			j, err := s.Submit(ObserveRequest{Readings: readings[i], PatternHour: &hour, Seed: int64(50 + i)})
+			if err != nil {
+				t.Errorf("Submit readings %d: %v", i, err)
+				return
+			}
+			jobs[i] = j
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
 	}
 
-	waitResult(t, blocker)
-	var lead, share int
 	for i, j := range jobs {
 		got := waitResult(t, j)
 		exp := make([]float64, want)
@@ -246,56 +191,8 @@ func TestBatchedObserveBitIdentity(t *testing.T) {
 		}
 		for v := range pred.Proba {
 			if math.Float64bits(got.Proba[v]) != math.Float64bits(pred.Proba[v]) {
-				t.Fatalf("job %d proba[%d]: batched %v != offline %v", i, v, got.Proba[v], pred.Proba[v])
+				t.Fatalf("job %d proba[%d]: served %v != offline %v", i, v, got.Proba[v], pred.Proba[v])
 			}
 		}
-		if snap := j.Trace(); snap != nil {
-			if hasStage(snap, telemetry.StageBatchLead) {
-				lead++
-			}
-			if hasStage(snap, telemetry.StageBatchShare) {
-				share++
-			}
-		}
-	}
-	st := s.Status()
-	if st.Batches < 1 {
-		t.Fatalf("observe_batches = %d, want ≥ 1 (no batch formed)", st.Batches)
-	}
-	if st.BatchedJobs < 2 {
-		t.Fatalf("observe_batched_jobs = %d, want ≥ 2", st.BatchedJobs)
-	}
-	if lead < 1 || share < 1 {
-		t.Fatalf("batch provenance stages: %d leaders, %d sharers (want ≥ 1 each)", lead, share)
-	}
-}
-
-// TestBatchingDisabled pins the BatchMax=1 escape hatch: every Readings
-// job resolves its own baseline and the batch counters stay zero.
-func TestBatchingDisabled(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, BatchMax: 1})
-	sys := s.System()
-	hour := 5
-	base, err := sys.QuiescentBaseline(hour)
-	if err != nil {
-		t.Fatalf("QuiescentBaseline: %v", err)
-	}
-	readings := make([]float64, len(base))
-	copy(readings, base)
-	for i := 0; i < 3; i++ {
-		j, err := s.Submit(ObserveRequest{Readings: readings, PatternHour: &hour, Seed: int64(i + 1)})
-		if err != nil {
-			t.Fatalf("Submit %d: %v", i, err)
-		}
-		waitResult(t, j)
-	}
-	if st := s.Status(); st.Batches != 0 || st.BatchedJobs != 0 {
-		t.Fatalf("batch counters = (%d, %d) with batching disabled, want (0, 0)", st.Batches, st.BatchedJobs)
-	}
-	s.mu.Lock()
-	boarded := len(s.pending)
-	s.mu.Unlock()
-	if boarded != 0 {
-		t.Fatalf("pending board holds %d hours with batching disabled, want 0", boarded)
 	}
 }

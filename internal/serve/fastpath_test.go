@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"math"
@@ -12,18 +13,16 @@ import (
 
 	"github.com/aquascale/aquascale/internal/core"
 	"github.com/aquascale/aquascale/internal/faults"
+	"github.com/aquascale/aquascale/internal/fusion"
+	"github.com/aquascale/aquascale/internal/weather"
 )
 
-// TestServedFastPathMatchesUncompiled pins the tentpole parity guarantee
-// from the other side: the server (which compiles at New) must produce
-// results bit-identical to an uncompiled system running the pointer path
-// on the same observation.
+// TestServedFastPathMatchesUncompiled pins the parity guarantee from the
+// oracle side: a served result (compiled profile, then fusion) must be
+// bit-identical to the pointer model bank's Profile.PredictProba run
+// through the same fusion engine on the same observation.
 func TestServedFastPathMatchesUncompiled(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 2})
-	if !s.Status().Compiled {
-		t.Fatal("server not compiled after New")
-	}
-
 	req := ObserveRequest{
 		Features:    testFeatures(s.System(), 7),
 		FrozenNodes: []int{1, 3},
@@ -35,32 +34,30 @@ func TestServedFastPathMatchesUncompiled(t *testing.T) {
 	}
 	got := waitResult(t, j)
 
-	// A fresh system with the same profile, never compiled: pointer path.
-	ref := newTestSystem(t)
-	if ref.Compiled() {
-		t.Fatal("reference system unexpectedly compiled")
-	}
 	obs, _, _, err := s.buildObservation(req)
 	if err != nil {
 		t.Fatalf("buildObservation: %v", err)
 	}
-	pred, _, err := ref.Localize(obs)
+	proba, err := s.System().Profile().PredictProba(obs.Features)
 	if err != nil {
-		t.Fatalf("pointer Localize: %v", err)
+		t.Fatalf("Profile.PredictProba: %v", err)
 	}
-	for v := range pred.Proba {
-		if math.Float64bits(got.Proba[v]) != math.Float64bits(pred.Proba[v]) {
-			t.Fatalf("proba[%d]: served %v != pointer %v", v, got.Proba[v], pred.Proba[v])
+	// core.NewSystem's default fusion: the paper's freeze model.
+	engine := fusion.NewEngine(fusion.Config{Freeze: weather.DefaultFreezeModel})
+	want, _, err := engine.Infer(proba, obs.Frozen, obs.Cliques)
+	if err != nil {
+		t.Fatalf("fusion: %v", err)
+	}
+	for v := range want.Proba {
+		if math.Float64bits(got.Proba[v]) != math.Float64bits(want.Proba[v]) {
+			t.Fatalf("proba[%d]: served %v != oracle %v", v, got.Proba[v], want.Proba[v])
 		}
-	}
-	if st := s.Status(); st.FastPathJobs < 1 {
-		t.Fatalf("fast-path jobs = %d, want ≥ 1", st.FastPathJobs)
 	}
 }
 
 // TestReadingsIngestion pins the absolute-readings request path: the
 // conversion against the memoized quiescent baseline is deferred to the
-// worker (so concurrent same-hour requests can batch), the end-to-end
+// job's worker, the end-to-end
 // result matches offline Localize on the subtracted deltas bit-for-bit,
 // and readings/features exclusivity is validated at submit time.
 func TestReadingsIngestion(t *testing.T) {
@@ -261,17 +258,38 @@ func TestRetryAfterDynamic(t *testing.T) {
 }
 
 // TestSwapProfileRecompiles pins the hot-swap invariant end to end: a
-// swap drops the old snapshot and SwapProfile recompiles, so the fast
-// path survives profile reloads.
+// swap installs the new profile compiled, counts as one swap, and keeps
+// serving results bit-identical to offline Localize.
 func TestSwapProfileRecompiles(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
-	if !s.System().Compiled() {
-		t.Fatal("not compiled after New")
+	sys := s.System()
+	var buf bytes.Buffer
+	if err := testbed.profile.Save(&buf); err != nil {
+		t.Fatalf("Save: %v", err)
 	}
-	if err := s.SwapProfile(testbed.profile); err != nil {
+	p, err := core.LoadProfile(&buf)
+	if err != nil {
+		t.Fatalf("LoadProfile: %v", err)
+	}
+	if err := s.SwapProfile(p); err != nil {
 		t.Fatalf("SwapProfile: %v", err)
 	}
-	if !s.System().Compiled() {
-		t.Fatal("fast path lost after SwapProfile")
+	if sys.Profile() != p || s.Status().ProfileSwaps != 1 {
+		t.Fatalf("swap not installed: live profile swapped = %v, swaps = %d", sys.Profile() == p, s.Status().ProfileSwaps)
+	}
+	feats := testFeatures(sys, 11)
+	j, err := s.Submit(ObserveRequest{Features: feats, Seed: 1})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	got := waitResult(t, j)
+	want, _, err := sys.Localize(core.Observation{Features: feats})
+	if err != nil {
+		t.Fatalf("Localize: %v", err)
+	}
+	for v := range want.Proba {
+		if math.Float64bits(got.Proba[v]) != math.Float64bits(want.Proba[v]) {
+			t.Fatalf("proba[%d]: served %v != offline %v after swap", v, got.Proba[v], want.Proba[v])
+		}
 	}
 }

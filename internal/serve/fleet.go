@@ -23,7 +23,7 @@ type District struct {
 
 // Fleet hosts many districts' localization services in one process —
 // one aquad serving N district metered areas. Each district gets its own
-// Server (compiled snapshot, bounded queue, result window, flight
+// Server (compiled profile, bounded queue, result window, flight
 // recorder) carved from one shared worker budget, so a hot district can
 // saturate only its own pool and never starve a sibling. Districts
 // hot-swap profiles and drain independently; Handler routes by district

@@ -97,9 +97,8 @@ func badRequest(format string, args ...any) error {
 // results are bit-identical to System.Localize on the same evidence.
 // Readings requests are validated here but their readings→features
 // conversion is deferred to the worker (returned as readings + pattern
-// hour), where a batch leader resolves the quiescent baseline once for
-// every concurrent same-hour request; obs.Features stays nil for them
-// until then.
+// hour), which resolves the quiescent baseline under the job's own
+// deadline and trace; obs.Features stays nil for them until then.
 func (s *Server) buildObservation(req ObserveRequest) (core.Observation, []float64, int, error) {
 	want := s.sys.Factory().SensorCount()
 	var readings []float64
@@ -115,9 +114,6 @@ func (s *Server) buildObservation(req ObserveRequest) (core.Observation, []float
 		if req.PatternHour != nil {
 			hour = *req.PatternHour
 		}
-		// Wrap into the demand-pattern day so the batching board and the
-		// baseline memo agree that hour 25 and hour 1 share a baseline.
-		hour = ((hour % 24) + 24) % 24
 		readings = req.Readings
 	} else if len(req.Features) != want {
 		return core.Observation{}, nil, 0, badRequest("got %d features, served sensor set has %d", len(req.Features), want)

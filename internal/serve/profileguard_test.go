@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/aquascale/aquascale/internal/core"
+	"github.com/aquascale/aquascale/internal/mlearn"
 )
 
 // Gob matches struct fields by name, so these mirrors of the profile
@@ -37,11 +38,18 @@ type (
 		Junctions []int
 		NodeCount int
 	}
+	wireScaler struct{ Mean, Inv []float64 }
+	wireLinear struct {
+		Cfg    struct{ Lambda float64 }
+		Scale  *wireScaler
+		W      []float64
+		Fitted bool
+	}
 )
 
-// craftedProfile encodes a profile for sys's deployment whose every
-// junction column is the single decision tree nodes.
-func craftedProfile(t *testing.T, sys *core.System, nodes []wireNode) []byte {
+// craftedBank encodes a profile whose every junction column in header
+// is the single classifier model (kind, state).
+func craftedBank(t *testing.T, header wireHeader, kind string, state any) []byte {
 	t.Helper()
 	encode := func(v any) []byte {
 		var buf bytes.Buffer
@@ -50,22 +58,49 @@ func craftedProfile(t *testing.T, sys *core.System, nodes []wireNode) []byte {
 		}
 		return buf.Bytes()
 	}
-	model := encode(wireEnvelope{Kind: "tree", Payload: encode(wireTree{Nodes: nodes})})
-	junctions := sys.Factory().Junctions()
-	bank := wireBank{Models: make([][]byte, len(junctions))}
+	model := encode(wireEnvelope{Kind: kind, Payload: encode(state)})
+	bank := wireBank{Models: make([][]byte, len(header.Junctions))}
 	for i := range bank.Models {
 		bank.Models[i] = model
 	}
-	header := wireHeader{Technique: "tree", Junctions: junctions, NodeCount: len(testbed.net.Nodes)}
 	return append(encode(header), encode(bank)...)
 }
 
-// TestCraftedProfileUploadRefused pins that neither crafted upload can
-// take the daemon down: a self-linked split node (which used to recurse
-// until a fatal stack overflow in Compile) and a split on a feature past
-// the sensor vector (which used to panic with index out of range). Each
-// fails with a typed error, and the live profile keeps serving the same
-// results.
+// servedHeader is the profile header of sys's deployment.
+func servedHeader(sys *core.System, technique string) wireHeader {
+	return wireHeader{Technique: technique, Junctions: sys.Factory().Junctions(), NodeCount: len(sys.Network().Nodes)}
+}
+
+// craftedProfile encodes a profile for sys's deployment whose every
+// junction column is the single decision tree nodes.
+func craftedProfile(t *testing.T, sys *core.System, nodes []wireNode) []byte {
+	return craftedBank(t, servedHeader(sys, "tree"), "tree", wireTree{Nodes: nodes})
+}
+
+// craftedLinear encodes a profile for sys's deployment whose every
+// junction column is a fitted linear model with w weights and a scaler
+// of the given width.
+func craftedLinear(t *testing.T, sys *core.System, w, scaler int) []byte {
+	return craftedBank(t, servedHeader(sys, "linear"), "linear", wireLinear{
+		Scale:  &wireScaler{Mean: make([]float64, scaler), Inv: make([]float64, scaler)},
+		W:      make([]float64, w),
+		Fitted: true,
+	})
+}
+
+// TestCraftedProfileUploadRefused pins that no crafted upload can take
+// the daemon down or leave a half-installed profile behind:
+//   - a self-linked split node, which used to recurse until a fatal stack
+//     overflow in Compile;
+//   - a header whose junction map points past NodeCount, which used to be
+//     answered 409 yet stay installed, so the next observe panicked in
+//     Profile.PredictProba;
+//   - a split on a feature past the sensor vector, and linear banks with
+//     more weights than sensors or a scaler shorter than the weights,
+//     which used to panic with index out of range.
+//
+// Each fails with a typed error, is not counted as a swap, and the live
+// profile keeps serving bit-identical results.
 func TestCraftedProfileUploadRefused(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
 	sys := s.System()
@@ -83,44 +118,58 @@ func TestCraftedProfileUploadRefused(t *testing.T) {
 	before := observe()
 	live := sys.Profile()
 
+	sensors := sys.Factory().SensorCount()
 	leaf := wireNode{Leaf: true, Left: -1, Right: -1, Value: 0.5}
-	selfLinked := craftedProfile(t, sys, []wireNode{{Feature: 0, Left: 0, Right: 0}})
-	wideFeature := craftedProfile(t, sys, []wireNode{{Feature: sys.Factory().SensorCount() + 2, Left: 1, Right: 2}, leaf, leaf})
-
-	if _, err := core.LoadProfile(bytes.NewReader(selfLinked)); err == nil {
-		t.Fatal("self-linked profile decoded")
-	}
-	p, err := core.LoadProfile(bytes.NewReader(wideFeature))
-	if err != nil {
-		t.Fatalf("LoadProfile(wide feature): %v", err)
-	}
-	if err := s.SwapProfile(p); !errors.Is(err, core.ErrFeatureOutOfRange) {
-		t.Fatalf("SwapProfile(wide feature) = %v, want ErrFeatureOutOfRange", err)
-	}
-
-	for _, tc := range []struct {
+	pastNodes := servedHeader(sys, "tree")
+	pastNodes.Junctions[len(pastNodes.Junctions)-1] = pastNodes.NodeCount + 7
+	cases := []struct {
 		name string
 		body []byte
-		want int
+		load error // LoadProfile's error, nil if the profile decodes
+		swap error // SwapProfile's error for a profile that decodes
+		want int   // POST /v1/profile status
 	}{
-		{"self-linked", selfLinked, http.StatusBadRequest},
-		{"wide-feature", wideFeature, http.StatusConflict},
-	} {
+		{"self-linked", craftedProfile(t, sys, []wireNode{{Feature: 0, Left: 0, Right: 0}}),
+			mlearn.ErrCorruptTree, nil, http.StatusBadRequest},
+		{"junction-past-nodes", craftedBank(t, pastNodes, "tree", wireTree{Nodes: []wireNode{leaf}}),
+			core.ErrCorruptProfile, nil, http.StatusBadRequest},
+		{"wide-feature", craftedProfile(t, sys, []wireNode{{Feature: sensors + 2, Left: 1, Right: 2}, leaf, leaf}),
+			nil, core.ErrFeatureOutOfRange, http.StatusConflict},
+		{"wide-linear", craftedLinear(t, sys, sensors+3, sensors+3),
+			nil, core.ErrFeatureOutOfRange, http.StatusConflict},
+		{"short-scaler", craftedLinear(t, sys, sensors, 1),
+			nil, core.ErrFeatureOutOfRange, http.StatusConflict},
+	}
+	for _, tc := range cases {
+		p, err := core.LoadProfile(bytes.NewReader(tc.body))
+		if tc.load != nil {
+			if !errors.Is(err, tc.load) {
+				t.Errorf("%s: LoadProfile = %v, want %v", tc.name, err, tc.load)
+			}
+		} else if err != nil {
+			t.Fatalf("%s: LoadProfile: %v", tc.name, err)
+		}
+		if p != nil {
+			if err := s.SwapProfile(p); !errors.Is(err, tc.swap) || err == nil {
+				t.Errorf("%s: SwapProfile = %v, want %v", tc.name, err, tc.swap)
+			}
+		}
+
 		resp, err := ts.Client().Post(ts.URL+"/v1/profile", "application/octet-stream", bytes.NewReader(tc.body))
 		if err != nil {
 			t.Fatalf("%s: POST /v1/profile: %v", tc.name, err)
 		}
 		resp.Body.Close()
 		if resp.StatusCode != tc.want {
-			t.Fatalf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
+			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
 		}
 	}
 
-	if sys.Profile() != live || !sys.Compiled() {
-		t.Fatal("refused upload replaced or uncompiled the live profile")
+	if sys.Profile() != live {
+		t.Error("refused upload replaced the live profile")
 	}
 	if got := s.Status().ProfileSwaps; got != 0 {
-		t.Fatalf("profile swaps = %d, want 0", got)
+		t.Errorf("profile swaps = %d, want 0", got)
 	}
 	after := observe()
 	for v := range before {

@@ -97,14 +97,6 @@ type Config struct {
 	// no X-Trace-Id, and the hot path pays one nil check).
 	TraceBuffer int
 
-	// BatchMax bounds observe micro-batching: when a worker dequeues a
-	// Readings job it claims up to BatchMax-1 more queued Readings jobs
-	// for the same pattern hour, resolves the quiescent baseline once,
-	// and scores the whole batch back-to-back — amortizing the baseline
-	// lookup without changing any result bit. Zero means 8; 1 disables
-	// batching (every job resolves its own baseline).
-	BatchMax int
-
 	// Logger receives structured request logs — one access line per HTTP
 	// request plus job failure events, each correlated by trace id. Nil
 	// disables logging. Build one with telemetry.NewLogger.
@@ -149,11 +141,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TraceBuffer == 0 {
 		c.TraceBuffer = 256
-	}
-	if c.BatchMax == 0 {
-		c.BatchMax = 8
-	} else if c.BatchMax < 0 {
-		c.BatchMax = 1 // disabled: a batch is always just its leader
 	}
 	return c
 }
@@ -222,18 +209,12 @@ type Job struct {
 	enqueued time.Time
 	trace    *telemetry.Trace // nil when tracing is disabled
 
-	// readings holds a Readings request's raw sensor values until a
+	// readings holds a Readings request's raw sensor values until its
 	// worker resolves them against the memoized quiescent baseline for
-	// hour (wrapped into [0,24)); nil for Features requests. Deferring
-	// the conversion to the worker lets concurrent same-hour requests
-	// share one baseline lookup (observe micro-batching).
+	// pattern hour, under the job's own deadline and trace; nil for
+	// Features requests.
 	readings []float64
 	hour     int
-
-	// claimed arbitrates scoring ownership between the worker that
-	// dequeues this job from the channel and a batch leader that picks
-	// it off the pending board — exactly one wins the CAS.
-	claimed atomic.Bool
 
 	mu     sync.Mutex
 	state  JobState
@@ -241,10 +222,6 @@ type Job struct {
 	err    error
 	done   chan struct{}
 }
-
-// claim marks the job as owned for scoring; false means another worker
-// already took it (as a batch member or off the queue).
-func (j *Job) claim() bool { return j.claimed.CompareAndSwap(false, true) }
 
 // ID returns the job's identifier.
 func (j *Job) ID() string { return j.id }
@@ -306,11 +283,8 @@ type serveMetrics struct {
 	queueDepth     *telemetry.Gauge
 	inflight       *telemetry.Gauge
 	requestSeconds *telemetry.Histogram
-	fastPath       *telemetry.Counter
 	flatEvalSecs   *telemetry.Histogram
 	traces         *telemetry.Counter
-	batches        *telemetry.Counter
-	batchedJobs    *telemetry.Counter
 }
 
 // bindServeMetrics registers the server's instruments. A non-empty
@@ -330,11 +304,8 @@ func bindServeMetrics(district string) serveMetrics {
 		queueDepth:     reg.Gauge(name("serve_queue_depth")),
 		inflight:       reg.Gauge(name("serve_inflight_jobs")),
 		requestSeconds: reg.Histogram(name("serve_request_seconds"), telemetry.ServingLatencyBuckets()),
-		fastPath:       reg.Counter(name("serve_observe_fast_path_total")),
 		flatEvalSecs:   reg.Histogram(name("serve_flat_eval_seconds"), telemetry.FastPathLatencyBuckets()),
 		traces:         reg.Counter(name("serve_traces_captured_total")),
-		batches:        reg.Counter(name("serve_observe_batches_total")),
-		batchedJobs:    reg.Counter(name("serve_observe_batched_jobs_total")),
 	}
 }
 
@@ -349,12 +320,11 @@ type Server struct {
 	queue chan *Job
 	wg    sync.WaitGroup // worker goroutines
 
-	mu         sync.Mutex // guards draining transition, job map, eviction order, pending board
+	mu         sync.Mutex // guards draining transition, job map, eviction order
 	jobs       map[string]*Job
 	finished   []string // finished job ids in completion order (eviction queue)
 	tombstones map[string]struct{}
-	tombOrder  []string       // tombstone ids in eviction order (aging queue)
-	pending    map[int][]*Job // queued Readings jobs by pattern hour (the batching board)
+	tombOrder  []string // tombstone ids in eviction order (aging queue)
 	draining   bool
 
 	drainOnce sync.Once
@@ -374,10 +344,7 @@ type Server struct {
 	nFailed       atomic.Int64
 	nRejectedFull atomic.Int64
 	nSwaps        atomic.Int64
-	nFastPath     atomic.Int64
 	nTraces       atomic.Int64
-	nBatches      atomic.Int64
-	nBatchedJobs  atomic.Int64
 
 	// recorder is the bounded flight recorder holding recently captured
 	// request traces (nil when cfg.TraceBuffer < 0 disabled tracing).
@@ -388,9 +355,8 @@ type Server struct {
 }
 
 // New builds a Server over a trained system and starts its worker pool.
-// The system must already hold a profile (trained or loaded); it is
-// compiled (core.System.Compile) so workers evaluate observations
-// through the flattened zero-allocation snapshot.
+// The system must already hold a profile (trained or loaded), which
+// core.System keeps installed in compiled form.
 func New(sys *core.System, cfg Config) (*Server, error) {
 	return newServer(sys, cfg, "")
 }
@@ -403,9 +369,6 @@ func newServer(sys *core.System, cfg Config, district string) (*Server, error) {
 	}
 	if sys.Profile() == nil {
 		return nil, fmt.Errorf("serve: system has no profile (train or load one first)")
-	}
-	if err := sys.Compile(); err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
 	}
 	cfg = cfg.withDefaults()
 	inj, err := faults.New(cfg.Faults)
@@ -420,7 +383,6 @@ func newServer(sys *core.System, cfg Config, district string) (*Server, error) {
 		queue:      make(chan *Job, cfg.QueueSize),
 		jobs:       make(map[string]*Job),
 		tombstones: make(map[string]struct{}),
-		pending:    make(map[int][]*Job),
 		start:      time.Now(),
 		log:        cfg.Logger,
 		met:        bindServeMetrics(district),
@@ -487,12 +449,6 @@ func (s *Server) Submit(req ObserveRequest) (*Job, error) {
 	select {
 	case s.queue <- j:
 		s.jobs[id] = j
-		// Boarding happens in the same critical section as the enqueue,
-		// so a batch leader scanning the board never sees a job that is
-		// not also in the channel.
-		if j.readings != nil && s.cfg.BatchMax > 1 {
-			s.pending[j.hour] = append(s.pending[j.hour], j)
-		}
 	default:
 		s.mu.Unlock()
 		s.nRejectedFull.Add(1)
@@ -569,23 +525,13 @@ func (s *Server) LookupState(id string) (*Job, bool) {
 
 // worker drains the queue. After Shutdown closes the queue, jobs still
 // buffered in it are failed with ErrDraining instead of run — only the
-// job a worker already held (in-flight) completes normally. Jobs whose
-// claim CAS fails were already scored as members of an earlier batch and
-// are skipped.
+// job a worker already held (in-flight) completes normally.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for j := range s.queue {
 		s.met.queueDepth.Set(float64(len(s.queue)))
-		if !j.claim() {
-			continue // scored as a batch member by another worker
-		}
-		s.unboard(j)
 		if s.isDraining() {
 			s.finishJob(j, nil, ErrDraining)
-			continue
-		}
-		if j.readings != nil {
-			s.runBatch(j, s.takeBatch(j))
 			continue
 		}
 		s.run(j)
@@ -643,17 +589,21 @@ func (s *Server) run(j *Job) {
 		s.finishJob(j, nil, err)
 		return
 	}
+	if j.readings != nil {
+		base, err := s.sys.QuiescentBaselineContext(ctx, j.hour)
+		if err != nil {
+			s.finishJob(j, nil, fmt.Errorf("serve: quiescent baseline: %w", err))
+			return
+		}
+		j.obs.Features = make([]float64, len(j.readings))
+		for i, r := range j.readings {
+			j.obs.Features[i] = r - base[i]
+		}
+	}
 
 	evalStart := time.Now()
-	pred, added, compiled, err := s.sys.LocalizeContextPath(ctx, j.obs)
-	// compiled reports the path the evaluation itself took — re-querying
-	// s.sys.Compiled() here would misattribute jobs that raced a
-	// concurrent SwapProfile dropping or restoring the snapshot.
-	if compiled {
-		s.nFastPath.Add(1)
-		s.met.fastPath.Inc()
-		s.met.flatEvalSecs.ObserveDuration(time.Since(evalStart))
-	}
+	pred, added, err := s.sys.LocalizeContext(ctx, j.obs)
+	s.met.flatEvalSecs.ObserveDuration(time.Since(evalStart))
 	if err != nil {
 		s.finishJob(j, nil, err)
 		return
@@ -673,12 +623,14 @@ func (s *Server) run(j *Job) {
 	}, nil)
 }
 
-// finishJob completes or fails a job, records metrics, and evicts the
-// oldest finished jobs beyond ResultCap.
+// finishJob records a job's metrics and trace, completes or fails it,
+// and evicts the oldest finished jobs beyond ResultCap. The counters and
+// the flight-recorder entry land before the job's Done channel closes,
+// so a caller woken by Done (a waiting HTTP request, Status, a trace
+// fetch) already sees them.
 func (s *Server) finishJob(j *Job, res *Result, err error) {
 	latency := time.Since(j.enqueued)
 	if err != nil {
-		j.fail(err)
 		s.nFailed.Add(1)
 		s.met.jobsFailed.Inc()
 		if s.log != nil {
@@ -689,12 +641,16 @@ func (s *Server) finishJob(j *Job, res *Result, err error) {
 				slog.String("error", err.Error()))
 		}
 	} else {
-		j.complete(res)
 		s.nDone.Add(1)
 		s.met.jobsDone.Inc()
 	}
 	s.met.requestSeconds.ObserveDuration(latency)
 	s.captureTrace(j, latency, err)
+	if err != nil {
+		j.fail(err)
+	} else {
+		j.complete(res)
+	}
 
 	s.mu.Lock()
 	s.finished = append(s.finished, j.id)
@@ -792,23 +748,17 @@ func (s *Server) retryAfterSeconds() int {
 	return secs
 }
 
-// SwapProfile atomically installs a new profile; concurrent jobs see
-// either the old or the new one in full. The profile must cover the
-// served network and split only on features its sensors provide
-// (checked by core.System.SetProfile; a refused profile leaves the live
-// one installed and uncounted as a swap). The swap drops the
-// compiled snapshot and its baseline memo, so the new profile is
-// recompiled here; if that fails the swap stands and serving continues
-// correctly on the pointer path.
+// SwapProfile atomically installs a new profile, compiled; concurrent
+// jobs see either the old or the new one in full. The profile must cover
+// the served network, read only features its sensors provide and compile
+// (checked by core.System.SetProfile); a refused profile leaves the live
+// one serving and is not counted as a swap.
 func (s *Server) SwapProfile(p *core.Profile) error {
 	if err := s.sys.SetProfile(p); err != nil {
 		return err
 	}
 	s.nSwaps.Add(1)
 	s.met.profileSwaps.Inc()
-	if err := s.sys.Compile(); err != nil {
-		return fmt.Errorf("serve: profile swapped but compile failed: %w", err)
-	}
 	return nil
 }
 
@@ -858,10 +808,18 @@ type Status struct {
 	RejectedFull  int64   `json:"rejected_queue_full"`
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	ProfileSwaps  int64   `json:"profile_swaps"`
-	Compiled      bool    `json:"compiled"`
-	FastPathJobs  int64   `json:"fast_path_jobs"`
-	Batches       int64   `json:"observe_batches"`
-	BatchedJobs   int64   `json:"observe_batched_jobs"`
+
+	// Batches is always 0.
+	//
+	// Deprecated: observe micro-batching was removed; the field stays
+	// only because perfbench/layers.go still reads it.
+	Batches int64 `json:"observe_batches"`
+
+	// BatchedJobs is always 0.
+	//
+	// Deprecated: observe micro-batching was removed; the field stays
+	// only because perfbench/layers.go still reads it.
+	BatchedJobs int64 `json:"observe_batched_jobs"`
 
 	// Runtime health (satellite gauges mirrored from the Go runtime) plus
 	// the flight recorder's capture counter.
@@ -899,10 +857,6 @@ func (s *Server) Status() Status {
 		RejectedFull:  s.nRejectedFull.Load(),
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		ProfileSwaps:  s.nSwaps.Load(),
-		Compiled:      s.sys.Compiled(),
-		FastPathJobs:  s.nFastPath.Load(),
-		Batches:       s.nBatches.Load(),
-		BatchedJobs:   s.nBatchedJobs.Load(),
 
 		Goroutines:          health.Goroutines,
 		HeapInuseBytes:      health.HeapInuseBytes,

@@ -137,14 +137,12 @@ const (
 	StageBaselineMemoHit  Stage = "baseline_memo_hit"
 	StageBaselineMemoMiss Stage = "baseline_memo_miss"
 
-	// StageEvalCompiled / StageEvalPointer record which inference path
-	// scored the observation: the flattened compiled snapshot or the
-	// pointer-chasing model bank.
+	// StageEvalCompiled records the compiled profile scoring the
+	// observation.
 	StageEvalCompiled Stage = "eval_compiled"
-	StageEvalPointer  Stage = "eval_pointer"
 
-	// StageJunctionScatter records the in-place junction→node scatter of
-	// the compiled path; the value is the junction count scattered.
+	// StageJunctionScatter records the in-place junction→node scatter
+	// after the eval; the value is the junction count scattered.
 	StageJunctionScatter Stage = "junction_scatter"
 
 	// StageSolverRetry records one rung of the hydraulic retry ladder;
@@ -156,13 +154,6 @@ const (
 	// injections (the value of a delay event is the delay in seconds).
 	StageFaultDelay Stage = "fault_delay"
 	StageFaultFail  Stage = "fault_fail"
-
-	// StageBatchLead / StageBatchShare record observe micro-batching
-	// provenance: the batch leader resolved the quiescent baseline once
-	// (value = batch size, members included) and members reused the
-	// leader's slice (value = the shared pattern hour).
-	StageBatchLead  Stage = "batch_lead"
-	StageBatchShare Stage = "batch_share"
 
 	// StageError records a terminal failure; the detail is the error.
 	StageError Stage = "error"

@@ -163,9 +163,6 @@ func TestMetricNameStability(t *testing.T) {
 		"serve_jobs_done_total",
 		"serve_jobs_failed_total",
 		"serve_jobs_submitted_total",
-		"serve_observe_batched_jobs_total",
-		"serve_observe_batches_total",
-		"serve_observe_fast_path_total",
 		"serve_profile_swaps_total",
 		"serve_queue_depth",
 		"serve_rejected_draining_total",
