@@ -9,7 +9,9 @@ package mlearn
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"math"
 	"os"
 	"os/exec"
 	"sort"
@@ -66,6 +68,66 @@ func TestMultiOutputSaveGolden(t *testing.T) {
 			sum := sha256.Sum256(buf.Bytes())
 			if got := hex.EncodeToString(sum[:]); got != want {
 				t.Errorf("Save digest = %s, want %s", got, want)
+			}
+		})
+	}
+}
+
+// predictGolden pins the SHA-256 of PredictProba's float bits for every
+// registered technique fitted on the same 160-sample EPA-NET dataset as
+// saveGolden, over the probes arenaProbes builds for each junction
+// column: its base rows, a tie and the next float above it at every
+// split, and NaN, +Inf and -Inf at every root split feature. Columns of
+// the linear family, which have no trees, take the probes of the rf
+// technique's tree for the same column. Changes to how a fitted model
+// is stored or evaluated must leave every digest untouched.
+var predictGolden = map[string]string{
+	"linear":     "7063d50ceca955df321b8972e927bb00854c5a43c575ee7294910a1d6cf2d346",
+	"logistic":   "1a8fa591d2428fe642862e74a7bc62d859af442e539ac8a7e5a6c403ba2078a9",
+	"gb":         "fbf3af2ada7a851406a6cde4b0cedc129fb9e031fda923a64c001e75475cd1e8",
+	"rf":         "53a6f926966c8e6106c967eb5946dc18cb5ff3daf6fce3f6f094e86d031b7493",
+	"svm":        "f1d4610ae22e16984f19c6b075d86a05f758ae37323ed07c67adac15497f5cdf",
+	"hybrid-rsl": "a230817132b26a696f9a3639b44d6dc9294cebb7ec4a935aa2d91c52f3a5307d",
+}
+
+func TestPredictGolden(t *testing.T) {
+	x, y := epanetData(t, 160)
+	base := append([][]float64{make([]float64, len(x[0]))}, x[:8]...)
+	fit := func(name string) *MultiOutput {
+		mo := NewMultiOutput(namedFactory(t, name), 77)
+		if err := mo.Fit(x, y); err != nil {
+			t.Fatalf("%s: Fit: %v", name, err)
+		}
+		return mo
+	}
+	rf := fit("rf")
+	names := make([]string, 0, len(predictGolden))
+	for name := range predictGolden {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		t.Run(name, func(t *testing.T) {
+			mo := rf
+			if name != "rf" {
+				mo = fit(name)
+			}
+			h := sha256.New()
+			var word [8]byte
+			probes := 0
+			for v, c := range mo.models {
+				a := fittedArena(c)
+				if a == nil {
+					a = fittedArena(rf.models[v])
+				}
+				for _, p := range arenaProbes(a, base) {
+					binary.LittleEndian.PutUint64(word[:], math.Float64bits(c.PredictProba(p)))
+					h.Write(word[:])
+					probes++
+				}
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != predictGolden[name] {
+				t.Errorf("PredictProba digest over %d probes = %s, want %s", probes, got, predictGolden[name])
 			}
 		})
 	}
