@@ -23,10 +23,10 @@ func BenchmarkFit(b *testing.B) {
 // predictSink keeps BenchmarkPredict's result live.
 var predictSink float64
 
-// BenchmarkPredict evaluates one row through a compiled bank fitted on
-// the 800-sample EPA-NET dataset (91 junction columns, depth-10 trees),
-// the served profile shape. Run with -benchmem; every row must report
-// 0 allocs/op.
+// BenchmarkPredict evaluates one row through MultiOutput.PredictProbaInto
+// on a bank fitted on the 800-sample EPA-NET dataset (91 junction
+// columns, depth-10 trees), the served profile shape. Run with
+// -benchmem; every row must report 0 allocs/op.
 func BenchmarkPredict(b *testing.B) {
 	x, y := epanetData(b, 800)
 	for _, name := range []string{"rf", "gb", "hybrid-rsl"} {
@@ -35,15 +35,11 @@ func BenchmarkPredict(b *testing.B) {
 			if err := mo.Fit(x, y); err != nil {
 				b.Fatal(err)
 			}
-			cm, err := mo.Compile()
-			if err != nil {
-				b.Fatal(err)
-			}
-			out := make([]float64, cm.Outputs())
+			out := make([]float64, mo.Outputs())
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := cm.PredictProbaInto(x[i%len(x)], out); err != nil {
+				if err := mo.PredictProbaInto(x[i%len(x)], out); err != nil {
 					b.Fatal(err)
 				}
 			}

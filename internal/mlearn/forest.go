@@ -28,7 +28,7 @@ type RFConfig struct {
 // leaf estimates; out-of-bag probabilities are retained for stacking.
 type RandomForest struct {
 	cfg   RFConfig
-	trees []*treeNode
+	arena flatArena
 	oob   []float64 // out-of-bag probability per training row
 	hasOO []bool
 }
@@ -81,7 +81,7 @@ func (m *RandomForest) fitPrepared(px *Prepared, y []int) error {
 	}
 
 	rng := rand.New(rand.NewSource(m.cfg.Seed))
-	m.trees = make([]*treeNode, 0, m.cfg.Trees)
+	m.arena = flatArena{roots: make([]int32, 0, m.cfg.Trees)}
 	oobSum := make([]float64, n)
 	oobCount := make([]int, n)
 	weight := make([]float64, n)
@@ -122,12 +122,11 @@ func (m *RandomForest) fitPrepared(px *Prepared, y []int) error {
 				return wt / w
 			},
 		})
-		root := g.grow(indices, 0)
-		m.trees = append(m.trees, root)
+		root := g.growTree(&m.arena, indices)
 
 		for i := 0; i < n; i++ {
 			if !inBag[i] {
-				oobSum[i] += root.predict(x[i])
+				oobSum[i] += m.arena.leaf(x[i], root)
 				oobCount[i]++
 			}
 		}
@@ -146,16 +145,13 @@ func (m *RandomForest) fitPrepared(px *Prepared, y []int) error {
 
 // PredictProba averages the trees' leaf probabilities. Non-finite
 // features are treated as 0 (see Classifier).
-func (m *RandomForest) PredictProba(x []float64) float64 {
-	if len(m.trees) == 0 {
+func (m *RandomForest) PredictProba(x []float64) float64 { return m.predictClean(cleanFeatures(x)) }
+
+func (m *RandomForest) predictClean(x []float64) float64 {
+	if len(m.arena.roots) == 0 {
 		return 0
 	}
-	x = cleanFeatures(x)
-	sum := 0.0
-	for _, t := range m.trees {
-		sum += t.predict(x)
-	}
-	return clamp01(sum / float64(len(m.trees)))
+	return clamp01(m.arena.sum(x, 0, 1) / float64(len(m.arena.roots)))
 }
 
 // OOBProba returns the out-of-bag probability for training row i and

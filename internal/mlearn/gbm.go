@@ -29,7 +29,7 @@ type GBConfig struct {
 type GradientBoosting struct {
 	cfg   GBConfig
 	bias  float64 // initial log-odds
-	trees []*treeNode
+	arena flatArena
 }
 
 var _ Classifier = (*GradientBoosting)(nil)
@@ -89,7 +89,7 @@ func (m *GradientBoosting) fitPrepared(px *Prepared, y []int) error {
 	residual := make([]float64, n)
 	hessian := make([]float64, n)
 	rng := rand.New(rand.NewSource(m.cfg.Seed))
-	m.trees = make([]*treeNode, 0, m.cfg.Rounds)
+	m.arena = flatArena{roots: make([]int32, 0, m.cfg.Rounds)}
 	bin := px.bins() // shared across all boosting rounds and output columns
 
 	for round := 0; round < m.cfg.Rounds; round++ {
@@ -141,10 +141,9 @@ func (m *GradientBoosting) fitPrepared(px *Prepared, y []int) error {
 				return v
 			},
 		})
-		root := g.grow(indices, 0)
-		m.trees = append(m.trees, root)
+		root := g.growTree(&m.arena, indices)
 		for i := 0; i < n; i++ {
-			score[i] += m.cfg.LearningRate * root.predict(x[i])
+			score[i] += m.cfg.LearningRate * m.arena.leaf(x[i], root)
 		}
 	}
 	return nil
@@ -152,14 +151,11 @@ func (m *GradientBoosting) fitPrepared(px *Prepared, y []int) error {
 
 // PredictProba returns the sigmoid of the boosted score. Non-finite
 // features are treated as 0 (see Classifier).
-func (m *GradientBoosting) PredictProba(x []float64) float64 {
-	if m.trees == nil {
+func (m *GradientBoosting) PredictProba(x []float64) float64 { return m.predictClean(cleanFeatures(x)) }
+
+func (m *GradientBoosting) predictClean(x []float64) float64 {
+	if len(m.arena.roots) == 0 {
 		return 0
 	}
-	x = cleanFeatures(x)
-	score := m.bias
-	for _, t := range m.trees {
-		score += m.cfg.LearningRate * t.predict(x)
-	}
-	return sigmoid(score)
+	return sigmoid(m.arena.sum(x, m.bias, m.cfg.LearningRate))
 }

@@ -83,13 +83,14 @@ func AssembleMultiOutput(seed int64, models []Classifier) (*MultiOutput, error) 
 // Outputs returns the number of trained outputs.
 func (m *MultiOutput) Outputs() int { return len(m.models) }
 
-// CheckWidth reports whether every classifier in the bank can evaluate
-// an n-wide input without reading past it or past its own coefficients:
-// tree splits must fall below n, and every linear, logistic and SVM leg
-// must hold exactly n weights and an n-wide scaler (a hybrid's logistic
-// meta layer, which reads the stacked leg outputs, exactly metaWidth).
-// A bank fitted on n-wide rows always passes; a decoded one may not.
-// Unfitted models are skipped — Compile refuses them.
+// CheckWidth reports whether every classifier in the bank is fitted
+// and can evaluate an n-wide input without reading past it or past its
+// own coefficients: tree splits must fall below n, and every linear,
+// logistic and SVM leg must hold exactly n weights and an n-wide scaler
+// (a hybrid's logistic meta layer, which reads the stacked leg outputs,
+// exactly metaWidth). An unfitted member is reported as ErrNotFitted. A
+// bank fitted on n-wide rows always passes; a decoded one may not.
+// Classifiers added through Register are not inspected.
 func (m *MultiOutput) CheckWidth(n int) error {
 	for v, c := range m.models {
 		if err := checkWidth(c, n); err != nil {
@@ -101,16 +102,13 @@ func (m *MultiOutput) CheckWidth(n int) error {
 
 // checkWidth is CheckWidth for one classifier.
 func checkWidth(c Classifier, n int) error {
-	var roots []*treeNode
 	switch m := c.(type) {
 	case *DecisionTree:
-		if m.root != nil {
-			roots = []*treeNode{m.root}
-		}
+		return m.arena.checkWidth("tree", n)
 	case *RandomForest:
-		roots = m.trees
+		return m.arena.checkWidth("random forest", n)
 	case *GradientBoosting:
-		roots = m.trees
+		return m.arena.checkWidth("gradient boosting", n)
 	case *LinearRegression:
 		return checkAffine("linear", m.fitted, m.w, m.scale, n)
 	case *LogisticRegression:
@@ -119,17 +117,12 @@ func checkWidth(c Classifier, n int) error {
 		return checkAffine("svm", m.fitted, m.w, m.scale, n)
 	case *HybridRSL:
 		if !m.fitted {
-			return nil
+			return fmt.Errorf("hybrid-rsl: %w", ErrNotFitted)
 		}
 		for _, err := range []error{checkWidth(m.rf, n), checkWidth(m.svm, n), checkWidth(m.meta, metaWidth)} {
 			if err != nil {
 				return fmt.Errorf("hybrid-rsl: %w", err)
 			}
-		}
-	}
-	for _, r := range roots {
-		if f := r.maxFeature(); f >= n {
-			return fmt.Errorf("tree splits on feature %d of a %d-wide input", f, n)
 		}
 	}
 	return nil
@@ -139,7 +132,7 @@ func checkWidth(c Classifier, n int) error {
 // inputs: n weights, n scaler means and n inverse deviations.
 func checkAffine(kind string, fitted bool, w []float64, s *scaler, n int) error {
 	if !fitted {
-		return nil
+		return fmt.Errorf("%s: %w", kind, ErrNotFitted)
 	}
 	var mean, inv []float64
 	if s != nil {
@@ -152,18 +145,35 @@ func checkAffine(kind string, fitted bool, w []float64, s *scaler, n int) error 
 	return nil
 }
 
-// PredictProba returns P(y_v = 1 | x) for every output v — the paper's
-// predict_proba. Non-finite features are treated as 0 (see Classifier);
-// sanitization happens once here and the cleaned vector is shared by
-// every per-node model.
-func (m *MultiOutput) PredictProba(x []float64) ([]float64, error) {
+// PredictProbaInto writes P(y_v = 1 | x) for every output v into out —
+// the paper's predict_proba. Non-finite features are treated as 0 (see
+// Classifier): x is sanitized once and the cleaned vector is shared by
+// every per-node model. With finite x and this package's classifiers it
+// performs no heap allocations; a classifier added through Register is
+// evaluated through its own PredictProba. len(out) must equal Outputs().
+func (m *MultiOutput) PredictProbaInto(x, out []float64) error {
 	if m.models == nil {
-		return nil, ErrNotFitted
+		return ErrNotFitted
+	}
+	if len(out) != len(m.models) {
+		return fmt.Errorf("mlearn: output buffer has %d slots, want %d", len(out), len(m.models))
 	}
 	x = cleanFeatures(x)
-	out := make([]float64, len(m.models))
 	for v, c := range m.models {
-		out[v] = c.PredictProba(x)
+		if cp, ok := c.(cleanPredictor); ok {
+			out[v] = cp.predictClean(x)
+		} else {
+			out[v] = c.PredictProba(x)
+		}
+	}
+	return nil
+}
+
+// PredictProba is the allocating form of PredictProbaInto.
+func (m *MultiOutput) PredictProba(x []float64) ([]float64, error) {
+	out := make([]float64, len(m.models))
+	if err := m.PredictProbaInto(x, out); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

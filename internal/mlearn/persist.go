@@ -27,7 +27,8 @@ type envelope struct {
 	Payload []byte
 }
 
-// flatNode is a tree node in flattened (index-linked) form.
+// flatNode is the saved form of one tree node: a tree is saved as its
+// nodes in preorder, linked by index (see flatArena.wire).
 type flatNode struct {
 	Feature   int
 	Threshold float64
@@ -35,81 +36,6 @@ type flatNode struct {
 	Right     int
 	Value     float64
 	Leaf      bool
-}
-
-func flattenTree(root *treeNode) []flatNode {
-	var out []flatNode
-	var walk func(n *treeNode) int
-	walk = func(n *treeNode) int {
-		idx := len(out)
-		out = append(out, flatNode{
-			Feature:   n.feature,
-			Threshold: n.threshold,
-			Value:     n.value,
-			Leaf:      n.leaf,
-			Left:      -1,
-			Right:     -1,
-		})
-		if !n.leaf {
-			out[idx].Left = walk(n.left)
-			out[idx].Right = walk(n.right)
-		}
-		return idx
-	}
-	if root != nil {
-		walk(root)
-	}
-	return out
-}
-
-// unflattenTree rebuilds a pointer tree from its preorder form. The
-// input may come from outside the process (a profile upload), so the
-// structure is checked before any traversal could run on it: every
-// split links strictly forward (Left, Right > i, as flattenTree writes
-// them), every node but the root has exactly one parent, and split
-// features are non-negative. Forward links rule out cycles, such as a
-// node linked to itself, and single parents rule out shared subtrees,
-// so the result is a tree whose every walk terminates.
-func unflattenTree(nodes []flatNode) (*treeNode, error) {
-	if len(nodes) == 0 {
-		return nil, nil
-	}
-	built := make([]*treeNode, len(nodes))
-	for i := range nodes {
-		built[i] = &treeNode{
-			feature:   nodes[i].Feature,
-			threshold: nodes[i].Threshold,
-			value:     nodes[i].Value,
-			leaf:      nodes[i].Leaf,
-		}
-	}
-	hasParent := make([]bool, len(nodes))
-	for i, fn := range nodes {
-		if fn.Leaf {
-			continue
-		}
-		if fn.Feature < 0 {
-			return nil, fmt.Errorf("%w: node %d splits on feature %d", ErrCorruptTree, i, fn.Feature)
-		}
-		for _, kid := range [2]int{fn.Left, fn.Right} {
-			if kid <= i || kid >= len(nodes) {
-				return nil, fmt.Errorf("%w: node %d links (%d,%d), want forward links below %d",
-					ErrCorruptTree, i, fn.Left, fn.Right, len(nodes))
-			}
-			if hasParent[kid] {
-				return nil, fmt.Errorf("%w: node %d has two parents", ErrCorruptTree, kid)
-			}
-			hasParent[kid] = true
-		}
-		built[i].left = built[fn.Left]
-		built[i].right = built[fn.Right]
-	}
-	for i := 1; i < len(nodes); i++ {
-		if !hasParent[i] {
-			return nil, fmt.Errorf("%w: node %d is unreachable", ErrCorruptTree, i)
-		}
-	}
-	return built[0], nil
 }
 
 // scalerState is the exported form of a feature scaler.
@@ -216,22 +142,18 @@ func encodeClassifier(c Classifier) (envelope, error) {
 		kind = "logistic"
 		state = logisticState{Cfg: m.cfg, Scale: scalerToState(m.scale), W: m.w, Bias: m.bias, Fitted: m.fitted}
 	case *DecisionTree:
+		var nodes []flatNode
+		if len(m.arena.roots) > 0 {
+			nodes = m.arena.wire(0)
+		}
 		kind = "tree"
-		state = treeState{Cfg: m.cfg, Nodes: flattenTree(m.root)}
+		state = treeState{Cfg: m.cfg, Nodes: nodes}
 	case *RandomForest:
-		trees := make([][]flatNode, len(m.trees))
-		for i, t := range m.trees {
-			trees[i] = flattenTree(t)
-		}
 		kind = "rf"
-		state = forestState{Cfg: m.cfg, Trees: trees}
+		state = forestState{Cfg: m.cfg, Trees: m.arena.wireAll()}
 	case *GradientBoosting:
-		trees := make([][]flatNode, len(m.trees))
-		for i, t := range m.trees {
-			trees[i] = flattenTree(t)
-		}
 		kind = "gb"
-		state = gbState{Cfg: m.cfg, Bias: m.bias, Trees: trees}
+		state = gbState{Cfg: m.cfg, Bias: m.bias, Trees: m.arena.wireAll()}
 	case *SVM:
 		kind = "svm"
 		state = svmState{
@@ -306,23 +228,21 @@ func decodeClassifier(env envelope) (Classifier, error) {
 		if err := dec.Decode(&s); err != nil {
 			return nil, err
 		}
-		root, err := unflattenTree(s.Nodes)
-		if err != nil {
-			return nil, err
+		m := &DecisionTree{cfg: s.Cfg}
+		if len(s.Nodes) > 0 { // an unfitted tree saves no nodes
+			if err := m.arena.appendWire(s.Nodes); err != nil {
+				return nil, err
+			}
 		}
-		return &DecisionTree{cfg: s.Cfg, root: root}, nil
+		return m, nil
 	case "rf":
 		var s forestState
 		if err := dec.Decode(&s); err != nil {
 			return nil, err
 		}
 		m := &RandomForest{cfg: s.Cfg}
-		for _, flat := range s.Trees {
-			root, err := unflattenTree(flat)
-			if err != nil {
-				return nil, err
-			}
-			m.trees = append(m.trees, root)
+		if err := appendWireTrees(&m.arena, s.Trees); err != nil {
+			return nil, err
 		}
 		return m, nil
 	case "gb":
@@ -331,12 +251,8 @@ func decodeClassifier(env envelope) (Classifier, error) {
 			return nil, err
 		}
 		m := &GradientBoosting{cfg: s.Cfg, bias: s.Bias}
-		for _, flat := range s.Trees {
-			root, err := unflattenTree(flat)
-			if err != nil {
-				return nil, err
-			}
-			m.trees = append(m.trees, root)
+		if err := appendWireTrees(&m.arena, s.Trees); err != nil {
+			return nil, err
 		}
 		return m, nil
 	case "svm":
@@ -381,6 +297,16 @@ func decodeClassifier(env envelope) (Classifier, error) {
 	default:
 		return nil, fmt.Errorf("%w: %q", ErrUnknownModelKind, env.Kind)
 	}
+}
+
+// appendWireTrees checks and appends an ensemble's saved trees.
+func appendWireTrees(a *flatArena, trees [][]flatNode) error {
+	for k, nodes := range trees {
+		if err := a.appendWire(nodes); err != nil {
+			return fmt.Errorf("tree %d: %w", k, err)
+		}
+	}
+	return nil
 }
 
 // multiOutputState is the persisted form of a MultiOutput bank.

@@ -71,38 +71,6 @@ func (b *binner) threshold(f, bin int) float64 {
 	return b.edges[f][bin]
 }
 
-// treeNode is one node of a binary CART tree. Leaves carry the prediction
-// (class-1 probability for classification trees, additive value for
-// boosted regression trees).
-type treeNode struct {
-	feature   int
-	threshold float64
-	left      *treeNode
-	right     *treeNode
-	value     float64
-	leaf      bool
-}
-
-func (n *treeNode) predict(x []float64) float64 {
-	for !n.leaf {
-		if x[n.feature] <= n.threshold {
-			n = n.left
-		} else {
-			n = n.right
-		}
-	}
-	return n.value
-}
-
-// maxFeature returns the largest split feature in the subtree at n, or
-// -1 for a leaf.
-func (n *treeNode) maxFeature() int {
-	if n.leaf {
-		return -1
-	}
-	return max(n.feature, n.left.maxFeature(), n.right.maxFeature())
-}
-
 // growConfig parameterizes the CART grower.
 type growConfig struct {
 	maxDepth int
@@ -155,22 +123,23 @@ func newGrower(bin *binner, target, weight []float64, cfg growConfig) *grower {
 	return g
 }
 
-// growAll builds a tree over all samples.
-func (g *grower) growAll() *treeNode {
-	indices := make([]int, len(g.target))
-	for i := range indices {
-		indices[i] = i
-	}
-	return g.grow(indices, 0)
+// growTree grows one tree over indices into a and returns its root.
+func (g *grower) growTree(a *flatArena, indices []int) int32 {
+	root := g.grow(a, indices, 0)
+	a.roots = append(a.roots, root)
+	return root
 }
 
-func (g *grower) grow(indices []int, depth int) *treeNode {
+// grow appends the subtree over indices, at the given depth, to a in
+// preorder — the node, then its left subtree, then its right — and
+// returns the subtree's offset.
+func (g *grower) grow(a *flatArena, indices []int, depth int) int32 {
 	if depth >= g.cfg.maxDepth || len(indices) < 2*g.cfg.minLeaf || g.pure(indices) {
-		return &treeNode{leaf: true, value: g.cfg.leafValue(indices)}
+		return g.leaf(a, indices, depth)
 	}
 	feat, bin, ok := g.bestSplit(indices)
 	if !ok {
-		return &treeNode{leaf: true, value: g.cfg.leafValue(indices)}
+		return g.leaf(a, indices, depth)
 	}
 	// Partition in place: left = bin ≤ split bin.
 	col := g.bin.cols[feat]
@@ -185,14 +154,22 @@ func (g *grower) grow(indices []int, depth int) *treeNode {
 	}
 	left, right := indices[:lo], indices[lo:]
 	if len(left) < g.cfg.minLeaf || len(right) < g.cfg.minLeaf {
-		return &treeNode{leaf: true, value: g.cfg.leafValue(indices)}
+		return g.leaf(a, indices, depth)
 	}
-	return &treeNode{
-		feature:   feat,
-		threshold: g.bin.threshold(feat, bin),
-		left:      g.grow(left, depth+1),
-		right:     g.grow(right, depth+1),
-	}
+	idx := int32(len(a.nodes))
+	a.nodes = append(a.nodes, packedNode{thr: g.bin.threshold(feat, bin), feat: int32(feat)})
+	l := g.grow(a, left, depth+1)
+	r := g.grow(a, right, depth+1)
+	a.nodes[idx].kid = [2]int32{l, r}
+	return idx
+}
+
+// leaf appends a leaf over indices at the given depth.
+func (g *grower) leaf(a *flatArena, indices []int, depth int) int32 {
+	idx := int32(len(a.nodes))
+	a.nodes = append(a.nodes, packedNode{thr: g.cfg.leafValue(indices), kid: [2]int32{idx, idx}})
+	a.depth = max(a.depth, depth)
+	return idx
 }
 
 func (g *grower) pure(indices []int) bool {
@@ -278,8 +255,8 @@ type TreeConfig struct {
 // class-balanced sample weights. Leaves predict the weighted positive
 // fraction.
 type DecisionTree struct {
-	cfg  TreeConfig
-	root *treeNode
+	cfg   TreeConfig
+	arena flatArena
 }
 
 var _ Classifier = (*DecisionTree)(nil)
@@ -301,7 +278,12 @@ func (m *DecisionTree) Fit(x [][]float64, y []int) error {
 		target[i] = float64(v)
 		weight[i] = cw[v]
 	}
-	m.root = newGrower(newBinner(x), target, weight, growConfig{
+	indices := make([]int, len(y))
+	for i := range indices {
+		indices[i] = i
+	}
+	m.arena = flatArena{}
+	newGrower(newBinner(x), target, weight, growConfig{
 		maxDepth: m.cfg.MaxDepth,
 		minLeaf:  m.cfg.MinLeaf,
 		leafValue: func(indices []int) float64 {
@@ -315,15 +297,17 @@ func (m *DecisionTree) Fit(x [][]float64, y []int) error {
 			}
 			return wt / w
 		},
-	}).growAll()
+	}).growTree(&m.arena, indices)
 	return nil
 }
 
 // PredictProba returns the leaf's positive fraction. Non-finite
 // features are treated as 0 (see Classifier).
-func (m *DecisionTree) PredictProba(x []float64) float64 {
-	if m.root == nil {
+func (m *DecisionTree) PredictProba(x []float64) float64 { return m.predictClean(cleanFeatures(x)) }
+
+func (m *DecisionTree) predictClean(x []float64) float64 {
+	if len(m.arena.roots) == 0 {
 		return 0
 	}
-	return clamp01(m.root.predict(cleanFeatures(x)))
+	return clamp01(m.arena.leaf(x, m.arena.roots[0]))
 }
