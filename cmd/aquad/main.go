@@ -15,8 +15,12 @@
 //
 // The -net, -iot and -seed flags must match the aquatrain invocation that
 // produced the profile — sensor placement is seeded, and a profile only
-// fits the feature vector of its own deployment (the mismatch is caught
-// at startup).
+// fits the feature vector of its own deployment. Startup checks only the
+// profile's node count and its feature width against the sensor count:
+// a profile saved under another -seed with the same -iot has the same
+// width, so it loads and serves, reading the wrong sensor columns. The
+// profile does not yet carry the deployment's fingerprint that would
+// catch this.
 //
 // Example:
 //
@@ -27,7 +31,7 @@
 // # Fleet mode
 //
 // -fleet MANIFEST serves many districts from one daemon instead of
-// -profile: each district gets its own compiled profile, queue and
+// -profile: each district gets its own installed profile, queue and
 // result window carved from the shared -workers budget, and the API
 // nests under /v1/districts/{id}/... (observe, localize, trace, status,
 // profile, requests, drain) with a fleet-wide GET /v1/status. The

@@ -16,22 +16,20 @@ import (
 )
 
 // ServingLatency measures the Phase-II observe hot path the way the
-// serving daemon drives it: per-request latency on EPA-NET of the
-// pointer-tree model bank (Profile.PredictProba, the fitting-time form
-// kept as the test oracle, one allocation-heavy call per request) vs.
-// the compiled profile every System serves (LocalizeInto on a reused
-// buffer), plus the same requests served end-to-end through a
-// one-district Fleet (Submit, queue, worker hand-off). All paths replay
-// the same recorded evidence-free observations, so fusion leaves the
-// probabilities untouched and the figure can assert the paths stay
-// bit-identical, which is the correctness contract the compiled profile
-// and the serving layer ship under. Structural columns are
-// deterministic; the latency columns are wall-clock.
+// serving daemon drives it: per-request latency on EPA-NET of
+// LocalizeInto on a reused buffer, the allocation-free path every System
+// serves, and of the same requests served end-to-end through a
+// one-district Fleet (Submit, queue, worker hand-off). Both replay the
+// same recorded evidence-free observations, and the figure asserts that
+// LocalizeInto is bit-identical to Profile.PredictProba plus fusion and
+// that the fleet-served results are bit-identical to offline Localize —
+// the correctness contract the serving layer ships under. Structural
+// columns are deterministic; the latency columns are wall-clock.
 func ServingLatency(scale Scale) (*Figure, error) {
 	scale = scale.withDefaults()
 	fig := &Figure{
 		ID:    "serving-latency",
-		Title: "Serving hot path: pointer-tree vs. compiled flattened inference",
+		Title: "Serving hot path: allocation-free localize, offline and fleet-served",
 	}
 
 	tb, err := newTestbed(network.BuildEPANet)
@@ -70,52 +68,45 @@ func ServingLatency(scale Scale) (*Figure, error) {
 		requests = 500
 	}
 
-	// Pointer path first, recording its probabilities for the parity check.
-	prof := sys.Profile()
-	pointerProba := make([][]float64, len(observations))
-	for i, obs := range observations {
-		proba, err := prof.PredictProba(obs.Features)
-		if err != nil {
-			return nil, fmt.Errorf("bench: serving-latency pointer: %w", err)
-		}
-		pointerProba[i] = proba
-	}
-	pointerLat, err := timeRequests(requests, func(i int) error {
-		_, err := prof.PredictProba(observations[i%len(observations)].Features)
-		return err
-	})
-	if err != nil {
-		return nil, fmt.Errorf("bench: serving-latency pointer: %w", err)
-	}
-
-	// Parity: the compiled path must be bit-identical to the pointer path.
+	// Parity: LocalizeInto must be bit-identical to the profile's own
+	// PredictProba followed by fusion (the engine a zero-config System
+	// builds).
 	mismatches := 0
+	engine := fusion.NewEngine(fusion.Config{})
 	pred := &fusion.Prediction{Proba: make([]float64, len(tb.net.Nodes))}
-	for i, obs := range observations {
+	for _, obs := range observations {
+		proba, err := sys.Profile().PredictProba(obs.Features)
+		if err != nil {
+			return nil, fmt.Errorf("bench: serving-latency profile: %w", err)
+		}
+		want, _, err := engine.Infer(proba, obs.Frozen, obs.Cliques)
+		if err != nil {
+			return nil, fmt.Errorf("bench: serving-latency fusion: %w", err)
+		}
 		if _, err := sys.LocalizeInto(pred, obs); err != nil {
-			return nil, fmt.Errorf("bench: serving-latency compiled: %w", err)
+			return nil, fmt.Errorf("bench: serving-latency localize: %w", err)
 		}
 		for v := range pred.Proba {
-			if math.Float64bits(pred.Proba[v]) != math.Float64bits(pointerProba[i][v]) {
+			if math.Float64bits(pred.Proba[v]) != math.Float64bits(want.Proba[v]) {
 				mismatches++
 			}
 		}
 	}
 	if mismatches > 0 {
-		return nil, fmt.Errorf("bench: serving-latency: compiled path diverged at %d probabilities", mismatches)
+		return nil, fmt.Errorf("bench: serving-latency: LocalizeInto diverged from Profile.PredictProba plus fusion at %d probabilities", mismatches)
 	}
 
-	compiledLat, err := timeRequests(requests, func(i int) error {
+	localizeLat, err := timeRequests(requests, func(i int) error {
 		_, err := sys.LocalizeInto(pred, observations[i%len(observations)])
 		return err
 	})
 	if err != nil {
-		return nil, fmt.Errorf("bench: serving-latency compiled: %w", err)
+		return nil, fmt.Errorf("bench: serving-latency localize: %w", err)
 	}
 
 	// Fleet-served: the same inference driven end-to-end through a
 	// one-district Fleet the way aquad hosts it — Submit, queue, worker
-	// hand-off and result-window accounting on top of the compiled path.
+	// hand-off and result-window accounting on top of LocalizeInto.
 	fleet, err := serve.NewFleet([]serve.District{{ID: "epanet", Sys: sys}}, serve.Config{
 		Workers:        1,
 		QueueSize:      64,
@@ -172,17 +163,16 @@ func ServingLatency(scale Scale) (*Figure, error) {
 	table := Table{
 		Title: fmt.Sprintf("per-request observe latency, EPA-NET, %d sensors, %d requests over %d recorded observations",
 			len(sensors), requests, len(observations)),
-		Columns: []string{"path", "p50 us", "p99 us", "mean us", "speedup"},
+		Columns: []string{"path", "p50 us", "p99 us", "mean us"},
 	}
 	table.Rows = append(table.Rows,
-		latencyRow("pointer", pointerLat, pointerLat),
-		latencyRow("compiled", compiledLat, pointerLat),
-		latencyRow("fleet served", fleetLat, pointerLat),
+		latencyRow("localize", localizeLat),
+		latencyRow("fleet served", fleetLat),
 	)
 	fig.Tables = append(fig.Tables, table)
 	fig.Notes = append(fig.Notes,
-		fmt.Sprintf("compiled probabilities bit-identical to pointer path on all %d observations", len(observations)),
-		"pointer path is Profile.PredictProba; compiled path is System.LocalizeInto on a reused buffer (0 allocs/op; see BenchmarkObserve)",
+		fmt.Sprintf("LocalizeInto bit-identical to Profile.PredictProba plus fusion on all %d observations", len(observations)),
+		"localize is System.LocalizeInto on a reused buffer (0 allocs/op; see BenchmarkObserve)",
 		"fleet served drives Submit+wait through a one-district serve.Fleet (queue, worker hand-off, result window) and stays bit-identical to offline Localize",
 	)
 	return fig, nil
@@ -202,13 +192,12 @@ func timeRequests(n int, do func(i int) error) ([]float64, error) {
 	return lat, nil
 }
 
-func latencyRow(name string, lat, baseline []float64) []string {
+func latencyRow(name string, lat []float64) []string {
 	return []string{
 		name,
 		fmt.Sprintf("%.1f", latPercentile(lat, 50)),
 		fmt.Sprintf("%.1f", latPercentile(lat, 99)),
 		fmt.Sprintf("%.1f", latMean(lat)),
-		fmt.Sprintf("%.1fx", latMean(baseline)/latMean(lat)),
 	}
 }
 

@@ -94,11 +94,11 @@ func checkJunctions(junctions []int, nodeCount int) error {
 // scaler are not exactly one per sensor.
 var ErrFeatureOutOfRange = errors.New("core: profile reads features the deployment does not have")
 
-// SetProfile installs a pre-trained (e.g. loaded) profile into the system,
-// compiled. The swap is atomic: concurrent Localize calls see either the
+// SetProfile installs a pre-trained (e.g. loaded) profile into the
+// system. The swap is atomic: concurrent Localize calls see either the
 // old or the new profile in full, never a mix, so online services can
 // hot-reload a profile under load. A profile that does not fit the
-// deployment (node count, feature width) or does not compile is refused
-// and the installed one stays. The baseline memo starts over with the
+// deployment (node count, feature width), holds an unfitted model or
+// has an unusable junction map is refused and the installed one stays. The baseline memo starts over with the
 // new profile.
 func (s *System) SetProfile(p *Profile) error { return s.install(p) }

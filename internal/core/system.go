@@ -38,10 +38,10 @@ type Observation struct {
 // System is a trained AquaSCALE instance for one network and sensor set.
 //
 // Every field but the live record is immutable after NewSystem, and the
-// record (profile, compiled form, baseline memo) is held behind one
+// record (profile, scatter plan, baseline memo) is held behind one
 // atomic pointer, so one System is safe to share across goroutines:
 // concurrent Localize calls may run against a concurrent SetProfile
-// hot-swap and always see a complete, compiled profile.
+// hot-swap and always see a complete, checked profile.
 type System struct {
 	net     *network.Network
 	factory *dataset.Factory

@@ -6,6 +6,13 @@ import (
 	"testing"
 )
 
+// transform standardizes x into a fresh vector.
+func (s *scaler) transform(x []float64) []float64 {
+	out := make([]float64, len(x))
+	s.transformInto(out, x)
+	return out
+}
+
 func TestScaler(t *testing.T) {
 	x := [][]float64{{1, 100}, {3, 300}, {5, 500}}
 	s := fitScaler(x)

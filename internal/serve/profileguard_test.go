@@ -25,6 +25,7 @@ type (
 		Leaf        bool
 	}
 	wireTree     struct{ Nodes []wireNode }
+	wireForest   struct{ Trees [][]wireNode }
 	wireEnvelope struct {
 		Kind    string
 		Payload []byte
@@ -91,7 +92,9 @@ func craftedLinear(t *testing.T, sys *core.System, w, scaler int) []byte {
 // TestCraftedProfileUploadRefused pins that no crafted upload can take
 // the daemon down or leave a half-installed profile behind:
 //   - a self-linked split node, which used to recurse until a fatal stack
-//     overflow in Compile;
+//     overflow when the tree was first walked;
+//   - a forest or booster holding an empty tree, which used to decode and
+//     then panic with a nil dereference in the install-time width check;
 //   - a header whose junction map points past NodeCount, which used to be
 //     answered 409 yet stay installed, so the next observe panicked in
 //     Profile.PredictProba;
@@ -130,6 +133,10 @@ func TestCraftedProfileUploadRefused(t *testing.T) {
 		want int   // POST /v1/profile status
 	}{
 		{"self-linked", craftedProfile(t, sys, []wireNode{{Feature: 0, Left: 0, Right: 0}}),
+			mlearn.ErrCorruptTree, nil, http.StatusBadRequest},
+		{"rf-empty-tree", craftedBank(t, servedHeader(sys, "rf"), "rf", wireForest{Trees: [][]wireNode{{leaf}, {}}}),
+			mlearn.ErrCorruptTree, nil, http.StatusBadRequest},
+		{"gb-empty-tree", craftedBank(t, servedHeader(sys, "gb"), "gb", wireForest{Trees: [][]wireNode{{}}}),
 			mlearn.ErrCorruptTree, nil, http.StatusBadRequest},
 		{"junction-past-nodes", craftedBank(t, pastNodes, "tree", wireTree{Nodes: []wireNode{leaf}}),
 			core.ErrCorruptProfile, nil, http.StatusBadRequest},

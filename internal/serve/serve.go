@@ -356,7 +356,7 @@ type Server struct {
 
 // New builds a Server over a trained system and starts its worker pool.
 // The system must already hold a profile (trained or loaded), which
-// core.System keeps installed in compiled form.
+// core.System has checked at install.
 func New(sys *core.System, cfg Config) (*Server, error) {
 	return newServer(sys, cfg, "")
 }
