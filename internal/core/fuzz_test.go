@@ -2,12 +2,16 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
+	"hash/crc32"
 	"math"
 	"math/rand"
+	"os"
 	"testing"
 
 	"github.com/aquascale/aquascale/internal/fusion"
+	"github.com/aquascale/aquascale/internal/mlearn"
 	"github.com/aquascale/aquascale/internal/network"
 )
 
@@ -141,6 +145,80 @@ func FuzzLoadProfile(f *testing.F) {
 		for v, want := range before {
 			if got := after[v]; math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("refused profile (%v) moved proba[%d]: %v → %v", err, v, want, got)
+			}
+		}
+	})
+}
+
+// ckptLoadSlack is what opening a checkpoint may allocate beyond the
+// file's own size: the header, frame buffers and the gob decoding of
+// the valid frames, which for testCkptMeta's three small linear models
+// is a few tens of KiB.
+const ckptLoadSlack = 1 << 20
+
+// FuzzOpenCheckpoint feeds arbitrary bytes to the training checkpoint
+// decoder as an existing checkpoint of testCkptMeta's run. It must not
+// panic and must allocate at most the file size plus ckptLoadSlack.
+// A refused file (not a checkpoint, or another run's) is left as it
+// was. An accepted one is left holding a valid header and exactly the
+// frames it loaded, each in column order with a matching CRC-32C and a
+// payload that decodes; the rest was truncated. Seeds are a complete
+// checkpoint, torn copies of it and the crafted frame length that used
+// to allocate 1 GiB.
+func FuzzOpenCheckpoint(f *testing.F) {
+	meta := testCkptMeta
+	valid := validCheckpoint(f, meta)
+	f.Add(valid)
+	f.Add(valid[:len(valid)-5])
+	f.Add(valid[:len(meta.encode())+6])
+	f.Add(craftedCheckpoint(meta))
+	f.Add([]byte("AQCK"))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path, models, n, alloc, err := openCheckpointAlloc(t, data, meta)
+		if limit := uint64(len(data)) + ckptLoadSlack; alloc > limit {
+			t.Fatalf("opening a %d-byte checkpoint allocated %d bytes, limit %d", len(data), alloc, limit)
+		}
+		got, rerr := os.ReadFile(path)
+		if rerr != nil {
+			t.Fatalf("ReadFile: %v", rerr)
+		}
+		if err != nil {
+			if !bytes.Equal(got, data) {
+				t.Fatalf("refused checkpoint (%v) was modified", err)
+			}
+			return
+		}
+		hdr := meta.encode()
+		if !bytes.HasPrefix(got, hdr) || !(bytes.HasPrefix(data, got) || bytes.Equal(got, hdr)) {
+			t.Fatalf("accepted checkpoint left %d bytes that are neither a prefix of the input nor a fresh header", len(got))
+		}
+		rest := got[len(hdr):]
+		for col := 0; col < n; col++ {
+			if len(rest) < 8 {
+				t.Fatalf("column %d: frame header torn after load", col)
+			}
+			idx := binary.LittleEndian.Uint32(rest[0:4])
+			size := int(binary.LittleEndian.Uint32(rest[4:8]))
+			if int(idx) != col || len(rest) < 8+size+4 {
+				t.Fatalf("column %d: frame index %d with %d payload bytes, %d bytes left", col, idx, size, len(rest))
+			}
+			body := rest[8 : 8+size]
+			if crc32.Checksum(body, ckptCRCTable) != binary.LittleEndian.Uint32(rest[8+size:]) {
+				t.Fatalf("column %d: loaded frame fails its CRC", col)
+			}
+			if _, err := mlearn.LoadClassifier(bytes.NewReader(body)); err != nil || models[col] == nil {
+				t.Fatalf("column %d: loaded frame does not decode (%v) or no model was set", col, err)
+			}
+			rest = rest[8+size+4:]
+		}
+		if len(rest) != 0 {
+			t.Fatalf("%d bytes left after the %d loaded frames were not truncated", len(rest), n)
+		}
+		for col := n; col < len(models); col++ {
+			if models[col] != nil {
+				t.Fatalf("column %d set past the loaded prefix of %d", col, n)
 			}
 		}
 	})

@@ -24,6 +24,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"time"
 
 	"github.com/aquascale/aquascale/internal/dataset"
 	"github.com/aquascale/aquascale/internal/mlearn"
@@ -156,6 +157,11 @@ func trainCorpusWindows(ctx context.Context, r *dataset.CorpusReader, cfg Profil
 	// happen once per training run.
 	px := mlearn.Prepare(x)
 	colsFlat := make([]int, window*samples)
+	// Per window: the corpus pass for its label columns, then its fits.
+	// Fit time includes the shared preprocessing the first window builds.
+	reg := telemetry.Default()
+	readSeconds := reg.Histogram("core_corpus_window_read_seconds", telemetry.ExpBuckets(1e-3, 2, 18))
+	fitSeconds := reg.Histogram("core_corpus_window_fit_seconds", telemetry.ExpBuckets(1e-3, 2, 18))
 	for lo := fitted; lo < outputs; {
 		hi := lo + window
 		if hi > outputs {
@@ -165,6 +171,7 @@ func trainCorpusWindows(ctx context.Context, r *dataset.CorpusReader, cfg Profil
 			return err
 		}
 		// One pass over the corpus fills this window's label columns.
+		start := time.Now()
 		row = 0
 		err := r.Each(ctx, func(s *dataset.CorpusSample) error {
 			for v := lo; v < hi; v++ {
@@ -176,15 +183,18 @@ func trainCorpusWindows(ctx context.Context, r *dataset.CorpusReader, cfg Profil
 		if err != nil {
 			return err
 		}
+		readSeconds.ObserveDuration(time.Since(start))
 
 		// FitColumns derives each column's seed from its index alone, so
 		// the streamed profile is bit-identical to the in-memory one.
 		column := func(v int, dst []int) {
 			copy(dst, colsFlat[(v-lo)*samples:(v-lo+1)*samples])
 		}
+		start = time.Now()
 		if err := mlearn.FitColumns(ctx, px, factory, cfg.Seed, lo, hi, column, models); err != nil {
 			return fmt.Errorf("core: profile training: %w", err)
 		}
+		fitSeconds.ObserveDuration(time.Since(start))
 
 		if ck != nil {
 			for v := lo; v < hi; v++ {
@@ -247,7 +257,6 @@ const (
 	ckptMagic      = "AQCK"
 	ckptVersion    = 1
 	ckptFixedBytes = 52
-	maxCkptFrame   = 1 << 30
 )
 
 var ckptCRCTable = crc32.MakeTable(crc32.Castagnoli)
@@ -376,8 +385,11 @@ func (ck *checkpoint) loadPrefix(meta ckptMeta, models []mlearn.Classifier) (int
 			break
 		}
 		idx := int(binary.LittleEndian.Uint32(fh[0:4]))
-		n := int(binary.LittleEndian.Uint32(fh[4:8]))
-		if idx != next || n <= 0 || n > maxCkptFrame {
+		n := int64(binary.LittleEndian.Uint32(fh[4:8]))
+		// A frame longer than the bytes left in the file is a torn tail;
+		// checking before the allocation keeps a crafted length from
+		// sizing it.
+		if idx != next || n <= 0 || n+4 > st.Size()-off-8 {
 			break
 		}
 		payload := make([]byte, n+4)
@@ -394,7 +406,7 @@ func (ck *checkpoint) loadPrefix(meta ckptMeta, models []mlearn.Classifier) (int
 		}
 		models[next] = c
 		next++
-		off += int64(8 + n + 4)
+		off += 8 + n + 4
 		ck.loads.Inc()
 	}
 	if err := ck.f.Truncate(off); err != nil {

@@ -3,16 +3,20 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"github.com/aquascale/aquascale/internal/dataset"
+	"github.com/aquascale/aquascale/internal/mlearn"
 	"github.com/aquascale/aquascale/internal/network"
 	"github.com/aquascale/aquascale/internal/sensor"
+	"github.com/aquascale/aquascale/internal/telemetry"
 )
 
 // profileBytes serializes a profile for bitwise comparison.
@@ -251,5 +255,138 @@ func TestTrainFromCorpusCancellation(t *testing.T) {
 	}
 	if sys.Profile() != nil {
 		t.Fatal("cancelled training installed a profile")
+	}
+}
+
+// testCkptMeta describes the small run the checkpoint decoder tests
+// load into: three linear junction columns.
+var testCkptMeta = ckptMeta{
+	CorpusSeed:   3,
+	Deployment:   0x5eed,
+	ConfigDigest: 0xc0f1,
+	ProfileSeed:  7,
+	Samples:      12,
+	Junctions:    3,
+	Technique:    string(TechniqueLinear),
+}
+
+// validCheckpoint writes a complete checkpoint for meta, one fitted
+// linear model per junction column, through the writer training uses.
+func validCheckpoint(tb testing.TB, meta ckptMeta) []byte {
+	tb.Helper()
+	path := filepath.Join(tb.TempDir(), "valid.ckpt")
+	ck, n, err := openCheckpoint(path, meta, make([]mlearn.Classifier, meta.Junctions))
+	if err != nil || n != 0 {
+		tb.Fatalf("openCheckpoint on a new file: n=%d err=%v", n, err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	x := make([][]float64, meta.Samples)
+	for i := range x {
+		x[i] = []float64{rng.NormFloat64(), rng.NormFloat64()}
+	}
+	for col := 0; col < meta.Junctions; col++ {
+		y := make([]int, meta.Samples)
+		for i := range y {
+			y[i] = (i + col) % 2
+		}
+		m := mlearn.NewLinearRegression(mlearn.LinearConfig{})
+		if err := m.Fit(x, y); err != nil {
+			tb.Fatalf("Fit: %v", err)
+		}
+		if err := ck.save(col, m); err != nil {
+			tb.Fatalf("save: %v", err)
+		}
+	}
+	if err := ck.close(); err != nil {
+		tb.Fatalf("close: %v", err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatalf("ReadFile: %v", err)
+	}
+	return b
+}
+
+// craftedCheckpoint is meta's header followed by a frame header that
+// declares a 1 GiB payload and three bytes of it: 73 bytes for the
+// linear technique.
+func craftedCheckpoint(meta ckptMeta) []byte {
+	b := meta.encode()
+	b = binary.LittleEndian.AppendUint32(b, 0)
+	b = binary.LittleEndian.AppendUint32(b, 1<<30)
+	return append(b, 1, 2, 3)
+}
+
+// openCheckpointAlloc opens the checkpoint bytes data for meta and
+// reports the bytes allocated while doing so.
+func openCheckpointAlloc(tb testing.TB, data []byte, meta ckptMeta) (path string, models []mlearn.Classifier, n int, alloc uint64, err error) {
+	tb.Helper()
+	path = filepath.Join(tb.TempDir(), "train.ckpt")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		tb.Fatalf("WriteFile: %v", err)
+	}
+	models = make([]mlearn.Classifier, meta.Junctions)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ck, n, err := openCheckpoint(path, meta, models)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		if cerr := ck.close(); cerr != nil {
+			tb.Fatalf("close: %v", cerr)
+		}
+	}
+	return path, models, n, after.TotalAlloc - before.TotalAlloc, err
+}
+
+// TestCheckpointOverlongFrameAllocation pins the frame-length bound: a
+// frame header declaring more bytes than the file holds is a torn tail,
+// truncated without allocating the declared length (it used to allocate
+// 1 GiB for this 73-byte file).
+func TestCheckpointOverlongFrameAllocation(t *testing.T) {
+	data := craftedCheckpoint(testCkptMeta)
+	if len(data) != 73 {
+		t.Fatalf("crafted checkpoint is %d bytes, want 73", len(data))
+	}
+	path, _, n, alloc, err := openCheckpointAlloc(t, data, testCkptMeta)
+	if err != nil {
+		t.Fatalf("openCheckpoint: %v", err)
+	}
+	if alloc >= 1<<20 {
+		t.Errorf("opening a %d-byte checkpoint allocated %d bytes, want < 1 MiB", len(data), alloc)
+	}
+	if n != 0 {
+		t.Errorf("loaded %d columns from a checkpoint with no valid frame", n)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("ReadFile: %v", err)
+	}
+	if hdr := testCkptMeta.encode(); !bytes.Equal(got, hdr) {
+		t.Errorf("torn tail not truncated: file is %d bytes, want the %d-byte header", len(got), len(hdr))
+	}
+}
+
+// TestTrainFromCorpusWindowMetrics pins the streamed-training
+// instruments: one read and one fit observation per junction window.
+func TestTrainFromCorpusWindowMetrics(t *testing.T) {
+	_, r := corpusFixture(t, 20, 13)
+	net := network.BuildTestNet()
+	reg := telemetry.Enable()
+	defer telemetry.Disable()
+	const window = 2
+	if _, err := TrainProfileFromCorpus(context.Background(), r, len(net.Nodes),
+		ProfileConfig{Technique: TechniqueLinear, Seed: 1}, CorpusTrainOptions{JunctionWindow: window}); err != nil {
+		t.Fatalf("TrainProfileFromCorpus: %v", err)
+	}
+	windows := int64((len(r.Junctions()) + window - 1) / window)
+	snap := reg.Snapshot()
+	for _, name := range []string{"core_corpus_window_read_seconds", "core_corpus_window_fit_seconds"} {
+		h, ok := snap.Histograms[name]
+		if !ok {
+			t.Fatalf("%s not bound", name)
+		}
+		if h.Count != windows {
+			t.Errorf("%s counted %d windows, want %d", name, h.Count, windows)
+		}
 	}
 }

@@ -7,7 +7,7 @@ import "testing"
 // figure pipeline. Run with -benchmem.
 func BenchmarkFit(b *testing.B) {
 	x, y := epanetData(b, 800)
-	for _, name := range []string{"rf", "svm", "gb", "hybrid-rsl"} {
+	for _, name := range []string{"rf", "svm", "gb", "hybrid-rsl", "linear"} {
 		b.Run(name, func(b *testing.B) {
 			factory := namedFactory(b, name)
 			b.ReportAllocs()

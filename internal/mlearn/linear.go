@@ -102,37 +102,11 @@ func (m *LinearRegression) fitPrepared(px *Prepared, y []int) error {
 	if err != nil {
 		return err
 	}
-	var xs [][]float64
-	m.scale, xs = px.standardized()
-	cw := classWeights(y)
-
-	// Augment with a bias column (index d).
-	cols := d + 1
-	a := matrix.NewDense(cols, cols)
-	b := make([]float64, cols)
-	row := make([]float64, cols)
-	for i, xi := range xs {
-		copy(row, xi)
-		row[d] = 1
-		w := cw[y[i]]
-		yi := float64(y[i])
-		for p := 0; p < cols; p++ {
-			if row[p] == 0 {
-				continue
-			}
-			wp := w * row[p]
-			for q := p; q < cols; q++ {
-				a.Add(p, q, wp*row[q])
-			}
-			b[p] += wp * yi
-		}
-	}
-	// Mirror the upper triangle and add the ridge.
-	for p := 0; p < cols; p++ {
-		for q := p + 1; q < cols; q++ {
-			a.Set(q, p, a.At(p, q))
-		}
-		a.Add(p, p, m.cfg.Lambda*float64(len(xs)))
+	var cols []float64
+	m.scale, cols = px.standardizedCols()
+	a, b := normalEquations(cols, y, d+1)
+	for p := 0; p <= d; p++ {
+		a.Add(p, p, m.cfg.Lambda*float64(len(y)))
 	}
 	beta, err := matrix.SolveSPD(a, b)
 	if err != nil {
@@ -142,6 +116,66 @@ func (m *LinearRegression) fitPrepared(px *Prepared, y []int) error {
 	m.bias = beta[d]
 	m.fitted = true
 	return nil
+}
+
+// normalEquations returns XᵀWX, lower triangle only (all SolveSPD
+// reads), and XᵀWy for the k column-major columns of cols (standardized
+// features plus the bias column, n = len(y) rows each), with W the
+// balanced class weights.
+//
+// Each entry is accumulated from +0 over the rows in order, adding
+// (w_i·x_ip)·x_iq, or w_i·x_ip over the positive rows for XᵀWy: the
+// operations of a row-by-row rank-1 update, so the result is
+// bit-identical to one. Loop interchange makes it fast: row p of XᵀW is
+// formed once into wp, and entry (p, q) is the dot product of wp with
+// column q, four columns at a time in independent accumulators. A
+// rank-1 update that skipped x_ip = 0 or multiplied by y_i = 0 would
+// only leave out ±0 terms, and adding ±0 never changes an accumulator
+// that started at +0, so the bits agree for finite features.
+func normalEquations(cols []float64, y []int, k int) (*matrix.Dense, []float64) {
+	n := len(y)
+	cw := classWeights(y)
+	a := matrix.NewDense(k, k)
+	b := make([]float64, k)
+	wp := make([]float64, n)
+	for p := 0; p < k; p++ {
+		bp := 0.0
+		for i, v := range cols[p*n : (p+1)*n] {
+			w := cw[y[i]] * v
+			wp[i] = w
+			if y[i] == 1 {
+				bp += w
+			}
+		}
+		b[p] = bp
+		q := p
+		for ; q+4 <= k; q += 4 {
+			c0 := cols[q*n:][:n]
+			c1 := cols[(q+1)*n:][:n]
+			c2 := cols[(q+2)*n:][:n]
+			c3 := cols[(q+3)*n:][:n]
+			var s0, s1, s2, s3 float64
+			for i, w := range wp {
+				s0 += w * c0[i]
+				s1 += w * c1[i]
+				s2 += w * c2[i]
+				s3 += w * c3[i]
+			}
+			a.Set(q, p, s0)
+			a.Set(q+1, p, s1)
+			a.Set(q+2, p, s2)
+			a.Set(q+3, p, s3)
+		}
+		for ; q < k; q++ {
+			c := cols[q*n:][:n]
+			s := 0.0
+			for i, w := range wp {
+				s += w * c[i]
+			}
+			a.Set(q, p, s)
+		}
+	}
+	return a, b
 }
 
 // PredictProba returns the clipped linear response. Non-finite features

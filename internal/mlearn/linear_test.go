@@ -1,0 +1,151 @@
+package mlearn
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"github.com/aquascale/aquascale/internal/matrix"
+)
+
+// rowwiseRidge is the reference ridge fit: the normal equations built by
+// a row-by-row rank-1 update over the row-major standardized rows,
+// skipping zero entries, then the same mirror, ridge and solve as
+// LinearRegression. It returns the weights and bias.
+func rowwiseRidge(t *testing.T, x [][]float64, y []int, lambda float64) ([]float64, float64) {
+	t.Helper()
+	_, xs := Prepare(x).standardized()
+	cw := classWeights(y)
+	d := len(x[0])
+	cols := d + 1
+	a := matrix.NewDense(cols, cols)
+	b := make([]float64, cols)
+	row := make([]float64, cols)
+	for i, xi := range xs {
+		copy(row, xi)
+		row[d] = 1
+		w := cw[y[i]]
+		yi := float64(y[i])
+		for p := 0; p < cols; p++ {
+			if row[p] == 0 {
+				continue
+			}
+			wp := w * row[p]
+			for q := p; q < cols; q++ {
+				a.Add(p, q, wp*row[q])
+			}
+			b[p] += wp * yi
+		}
+	}
+	for p := 0; p < cols; p++ {
+		for q := p + 1; q < cols; q++ {
+			a.Set(q, p, a.At(p, q))
+		}
+		a.Add(p, p, lambda*float64(len(xs)))
+	}
+	beta, err := matrix.SolveSPD(a, b)
+	if err != nil {
+		t.Fatalf("reference solve: %v", err)
+	}
+	return beta[:d], beta[d]
+}
+
+// ridgeColumn fills column j of x (n rows) with one of the value
+// patterns the kernel must keep bit-identical through.
+func ridgeColumn(x [][]float64, j int, kind string, rng *rand.Rand) {
+	for i, row := range x {
+		switch kind {
+		case "gauss":
+			row[j] = rng.NormFloat64() * 3
+		case "zero": // standardizes to exact +0
+			row[j] = 0
+		case "signed-zero": // mean +0, so the -0 entries standardize to -0
+			row[j] = math.Copysign(0, float64(i%2)-0.5)
+		case "constant": // mean need not round back to 0.1
+			row[j] = 0.1
+		case "sparse": // symmetric, so the zeros standardize to exact 0
+			row[j] = float64(rng.Intn(3) - 1)
+		default:
+			panic(kind)
+		}
+	}
+}
+
+// ridgeLabels returns n labels of one of the degenerate or mixed kinds.
+func ridgeLabels(n int, kind string, rng *rand.Rand) []int {
+	y := make([]int, n)
+	for i := range y {
+		switch kind {
+		case "all-0":
+		case "all-1":
+			y[i] = 1
+		case "mixed":
+			y[i] = rng.Intn(2)
+		default:
+			panic(kind)
+		}
+	}
+	return y
+}
+
+// TestLinearFitMatchesRowwiseReference pins the interchanged ridge
+// kernel bit for bit against the row-wise reference: widths whose bias-
+// augmented size (d+1) mod 4 is 0, 1, 2 and 3 to reach every tail of
+// the four-column tile, a single row, exact-zero, signed-zero and
+// constant features, sparse columns, and all-0 and all-1 labels (a zero
+// class weight). A randomized sweep mixes them.
+func TestLinearFitMatchesRowwiseReference(t *testing.T) {
+	columnKinds := []string{"gauss", "zero", "signed-zero", "constant", "sparse"}
+	labelKinds := []string{"mixed", "all-0", "all-1"}
+	type ridgeCase struct {
+		name   string
+		n, d   int
+		cols   []string // cycled over the features
+		labels string
+	}
+	var cases []ridgeCase
+	for _, d := range []int{3, 4, 5, 6, 63} {
+		for _, labels := range labelKinds {
+			cases = append(cases, ridgeCase{fmt.Sprintf("d=%d/%s", d, labels), 40, d, columnKinds, labels})
+		}
+	}
+	for _, labels := range labelKinds {
+		cases = append(cases, ridgeCase{"n=1/" + labels, 1, 5, []string{"gauss"}, labels})
+	}
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 200; trial++ {
+		cols := make([]string, 1+rng.Intn(4))
+		for i := range cols {
+			cols[i] = columnKinds[rng.Intn(len(columnKinds))]
+		}
+		cases = append(cases, ridgeCase{fmt.Sprintf("random-%d", trial), 1 + rng.Intn(60), 1 + rng.Intn(13),
+			cols, labelKinds[rng.Intn(len(labelKinds))]})
+	}
+
+	for _, tc := range cases {
+		x := make([][]float64, tc.n)
+		for i := range x {
+			x[i] = make([]float64, tc.d)
+		}
+		for j := 0; j < tc.d; j++ {
+			ridgeColumn(x, j, tc.cols[j%len(tc.cols)], rng)
+		}
+		y := ridgeLabels(tc.n, tc.labels, rng)
+
+		m := NewLinearRegression(LinearConfig{})
+		if err := m.Fit(x, y); err != nil {
+			t.Fatalf("%s: Fit: %v", tc.name, err)
+		}
+		wantW, wantBias := rowwiseRidge(t, x, y, m.cfg.Lambda)
+		for j, want := range wantW {
+			if math.Float64bits(m.w[j]) != math.Float64bits(want) {
+				t.Fatalf("%s: w[%d] = %v (%#x), reference %v (%#x)", tc.name, j,
+					m.w[j], math.Float64bits(m.w[j]), want, math.Float64bits(want))
+			}
+		}
+		if math.Float64bits(m.bias) != math.Float64bits(wantBias) {
+			t.Fatalf("%s: bias = %v, reference %v", tc.name, m.bias, wantBias)
+		}
+	}
+}

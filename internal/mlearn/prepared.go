@@ -22,7 +22,12 @@ type Prepared struct {
 
 	scaleOnce sync.Once
 	scale     *scaler
-	scaled    [][]float64
+
+	rowsOnce sync.Once
+	scaled   [][]float64
+
+	colsOnce sync.Once
+	cols     []float64
 }
 
 // Prepare wraps x for FitColumns. x must not be modified while the
@@ -37,21 +42,55 @@ func (p *Prepared) bins() *binner {
 	return p.bin
 }
 
+// scaler returns the matrix's standardizing scaler, fitting it on first
+// use. Callers must not modify it.
+func (p *Prepared) scaler() *scaler {
+	p.scaleOnce.Do(func() { p.scale = fitScaler(p.x) })
+	return p.scale
+}
+
 // standardized returns the matrix's scaler and its rows transformed by
 // it (one backing array), computing both on first use. Callers must not
 // modify either.
 func (p *Prepared) standardized() (*scaler, [][]float64) {
-	p.scaleOnce.Do(func() {
-		p.scale = fitScaler(p.x)
+	s := p.scaler()
+	p.rowsOnce.Do(func() {
 		d := len(p.x[0])
 		flat := make([]float64, len(p.x)*d)
 		p.scaled = make([][]float64, len(p.x))
 		for i, row := range p.x {
 			p.scaled[i] = flat[i*d : (i+1)*d : (i+1)*d]
-			p.scale.transformInto(p.scaled[i], row)
+			s.transformInto(p.scaled[i], row)
 		}
 	})
-	return p.scale, p.scaled
+	return s, p.scaled
+}
+
+// standardizedCols returns the matrix's scaler and its standardized
+// values column-major with a trailing bias column of ones: with n rows
+// and d features, column j occupies [j·n, (j+1)·n) and the bias column
+// [d·n, (d+1)·n), in one allocation. Each value is computed exactly as
+// scaler.transformInto computes it, from x directly, so a caller that
+// needs only columns never builds the row-major copy. Computed on first
+// use; callers must not modify either result.
+func (p *Prepared) standardizedCols() (*scaler, []float64) {
+	s := p.scaler()
+	p.colsOnce.Do(func() {
+		n, d := len(p.x), len(p.x[0])
+		cols := make([]float64, (d+1)*n)
+		for j := 0; j < d; j++ {
+			col, mean, inv := cols[j*n:(j+1)*n], s.mean[j], s.inv[j]
+			for i, row := range p.x {
+				col[i] = (row[j] - mean) * inv
+			}
+		}
+		bias := cols[d*n:]
+		for i := range bias {
+			bias[i] = 1
+		}
+		p.cols = cols
+	})
+	return s, p.cols
 }
 
 // preparedFitter is implemented by the package's classifiers: Fit over a

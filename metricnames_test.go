@@ -106,6 +106,8 @@ func TestMetricNameStability(t *testing.T) {
 	want := []string{
 		"core_checkpoint_loads_total",
 		"core_checkpoint_saves_total",
+		"core_corpus_window_fit_seconds",
+		"core_corpus_window_read_seconds",
 		"core_eval_retries_total",
 		"core_eval_scenarios_per_second",
 		"core_eval_scenarios_total",
