@@ -162,18 +162,20 @@ func (c *Cholesky) Refactorize(a *Dense) error {
 	}
 	l := c.l
 	for i := 0; i < n; i++ {
+		ai, li := a.data[i*n:(i+1)*n], l[i*n:(i+1)*n]
 		for j := 0; j <= i; j++ {
-			sum := a.At(i, j)
-			for k := 0; k < j; k++ {
-				sum -= l[i*n+k] * l[j*n+k]
+			lj := l[j*n : j*n+j]
+			sum := ai[j]
+			for k, v := range lj {
+				sum -= li[k] * v
 			}
 			if i == j {
 				if sum <= 0 {
 					return ErrNotPositiveDefinite
 				}
-				l[i*n+j] = math.Sqrt(sum)
+				li[j] = math.Sqrt(sum)
 			} else {
-				l[i*n+j] = sum / l[j*n+j]
+				li[j] = sum / l[j*n+j]
 			}
 		}
 	}
@@ -213,16 +215,6 @@ func (c *Cholesky) SolveTo(dst, b []float64) error {
 		x[i] /= c.l[i*n+i]
 	}
 	return nil
-}
-
-// SolveSPD factorizes the symmetric positive-definite matrix a and solves
-// a·x = b. Convenience wrapper for single-shot solves.
-func SolveSPD(a *Dense, b []float64) ([]float64, error) {
-	ch, err := NewCholesky(a)
-	if err != nil {
-		return nil, err
-	}
-	return ch.Solve(b)
 }
 
 // LU holds an LU factorization with partial pivoting.

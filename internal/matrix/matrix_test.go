@@ -9,6 +9,16 @@ import (
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// solveSPD factorizes the symmetric positive-definite matrix a and
+// solves a·x = b: the single-shot reference solve of these tests.
+func solveSPD(a *Dense, b []float64) ([]float64, error) {
+	ch, err := NewCholesky(a)
+	if err != nil {
+		return nil, err
+	}
+	return ch.Solve(b)
+}
+
 func TestDenseBasics(t *testing.T) {
 	m := NewDense(2, 3)
 	if m.Rows() != 2 || m.Cols() != 3 {
@@ -89,9 +99,9 @@ func TestCholeskySolve(t *testing.T) {
 		{1, 5, 2},
 		{0, 2, 6},
 	})
-	x, err := SolveSPD(a, []float64{1, 2, 3})
+	x, err := solveSPD(a, []float64{1, 2, 3})
 	if err != nil {
-		t.Fatalf("SolveSPD: %v", err)
+		t.Fatalf("solveSPD: %v", err)
 	}
 	// Verify A·x == b.
 	b := a.MulVec(x, nil)
@@ -165,7 +175,7 @@ func TestCholeskyRandomSPD(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		x, err := SolveSPD(a, b)
+		x, err := solveSPD(a, b)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -74,7 +74,7 @@ func TestSparseMatchesDenseRandom(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		want, err := SolveSPD(ref, b)
+		want, err := solveSPD(ref, b)
 		if err != nil {
 			t.Fatalf("trial %d: reference solve: %v", trial, err)
 		}
@@ -119,7 +119,7 @@ func TestSparseRefactorizeReuses(t *testing.T) {
 		if err := sp.Solve(b, x); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		want, err := SolveSPD(ref, b)
+		want, err := solveSPD(ref, b)
 		if err != nil {
 			t.Fatalf("round %d: reference: %v", round, err)
 		}

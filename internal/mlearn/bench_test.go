@@ -4,7 +4,10 @@ import "testing"
 
 // BenchmarkFit fits one classifier per junction column (91 on EPA-NET)
 // over an 800-sample generated EPA-NET dataset, the profile build of the
-// figure pipeline. Run with -benchmem.
+// figure pipeline. Its linear-grid row fits the ridge bank of the
+// corpus-grid benchmark's shape (1024 columns over 2000 samples of 63
+// sensors; see gridData), generated on first use in a few seconds. Run
+// with -benchmem.
 func BenchmarkFit(b *testing.B) {
 	x, y := epanetData(b, 800)
 	for _, name := range []string{"rf", "svm", "gb", "hybrid-rsl", "linear"} {
@@ -18,6 +21,17 @@ func BenchmarkFit(b *testing.B) {
 			}
 		})
 	}
+	b.Run("linear-grid", func(b *testing.B) {
+		x, y := gridData(b)
+		factory := namedFactory(b, "linear")
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := NewMultiOutput(factory, 77).Fit(x, y); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // predictSink keeps BenchmarkPredict's result live.

@@ -1,6 +1,7 @@
 package mlearn
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -13,8 +14,8 @@ import (
 	"github.com/aquascale/aquascale/internal/sensor"
 )
 
-// epanetCache memoizes generated EPA-NET datasets by sample count.
-var epanetCache sync.Map // int → *dataset.Dataset
+// dataCache memoizes generated datasets by name and sample count.
+var dataCache sync.Map // string → *dataset.Dataset
 
 // epanetData returns a deterministic EPA-NET multi-leak dataset of the
 // given size: 60% IoT coverage placed by k-medoids (seed 5) over a
@@ -22,11 +23,29 @@ var epanetCache sync.Map // int → *dataset.Dataset
 // and generation seed 11 — the profile-build deployment of the figure
 // pipeline.
 func epanetData(tb testing.TB, samples int) ([][]float64, [][]int) {
+	return generatedData(tb, network.BuildEPANet, 60, samples)
+}
+
+// gridData returns the corpus-grid benchmark's shape as an in-memory
+// dataset, deployed and generated like epanetData: a 32×32 grid network
+// (1026 nodes, 1024 junction columns) at 3% IoT coverage (63 sensors),
+// 2000 samples.
+func gridData(tb testing.TB) ([][]float64, [][]int) {
+	return generatedData(tb, func() *network.Network {
+		return network.BuildGrid(network.GridConfig{Rows: 32, Cols: 32})
+	}, 3, 2000)
+}
+
+// generatedData places iotPct% IoT sensors by k-medoids (seed 5) over a
+// leak-free 6 h baseline of build's network and generates samples U(1,5)
+// multi-leak scenarios at default sensor noise with seed 11.
+func generatedData(tb testing.TB, build func() *network.Network, iotPct float64, samples int) ([][]float64, [][]int) {
 	tb.Helper()
-	if ds, ok := epanetCache.Load(samples); ok {
+	net := build()
+	key := fmt.Sprintf("%s/%g/%d", net.Name, iotPct, samples)
+	if ds, ok := dataCache.Load(key); ok {
 		return ds.(*dataset.Dataset).X(), ds.(*dataset.Dataset).Y()
 	}
-	net := network.BuildEPANet()
 	baseline, err := hydraulic.RunEPS(net, hydraulic.EPSOptions{Duration: 6 * time.Hour, Step: time.Hour}, nil)
 	if err != nil {
 		tb.Fatalf("baseline EPS: %v", err)
@@ -35,7 +54,7 @@ func epanetData(tb testing.TB, samples int) ([][]float64, [][]int) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	sensors, err := placer.KMedoids(placer.CountForPercent(60), rand.New(rand.NewSource(5)))
+	sensors, err := placer.KMedoids(placer.CountForPercent(iotPct), rand.New(rand.NewSource(5)))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -50,7 +69,7 @@ func epanetData(tb testing.TB, samples int) ([][]float64, [][]int) {
 	if err != nil {
 		tb.Fatalf("Generate: %v", err)
 	}
-	epanetCache.Store(samples, ds)
+	dataCache.Store(key, ds)
 	return ds.X(), ds.Y()
 }
 

@@ -52,12 +52,12 @@ func NewRandomForest(cfg RFConfig) *RandomForest {
 // Fit grows the ensemble on bootstrap resamples with balanced class
 // weights.
 func (m *RandomForest) Fit(x [][]float64, y []int) error {
-	return m.fitPrepared(Prepare(x), y)
+	return m.fitPrepared(Prepare(x), y, &workspace{})
 }
 
-func (m *RandomForest) fitPrepared(px *Prepared, y []int) error {
+func (m *RandomForest) fitPrepared(px *Prepared, y []int, _ *workspace) error {
 	x := px.x
-	d, err := validateXY(x, y)
+	d, err := px.check(y)
 	if err != nil {
 		return err
 	}

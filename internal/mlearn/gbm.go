@@ -53,12 +53,12 @@ func NewGradientBoosting(cfg GBConfig) *GradientBoosting {
 
 // Fit runs Newton-style boosting with balanced class weights.
 func (m *GradientBoosting) Fit(x [][]float64, y []int) error {
-	return m.fitPrepared(Prepare(x), y)
+	return m.fitPrepared(Prepare(x), y, &workspace{})
 }
 
-func (m *GradientBoosting) fitPrepared(px *Prepared, y []int) error {
+func (m *GradientBoosting) fitPrepared(px *Prepared, y []int, _ *workspace) error {
 	x := px.x
-	if _, err := validateXY(x, y); err != nil {
+	if _, err := px.check(y); err != nil {
 		return err
 	}
 	n := len(x)

@@ -28,7 +28,7 @@ import (
 // therefore re-runs itself in a fresh process that fits and saves the
 // techniques in sorted order and nothing else.
 var saveGolden = map[string]string{
-	"linear":     "e96864c3c8941240a62ca7227dce4f3a8235560d9b920ba4876da0381f33f38f",
+	"linear":     "c86bc38a5f1aaea87ec78768ddeb10adedf7e726c86cbbee0018854c8be1b8ed",
 	"logistic":   "b872bb4a072a80ba40fd8070ca1691244eac542c4b47471fe6ecb9e20223c9d5",
 	"gb":         "f823978f58a05f47899472419def92906bc1b3a4efc89b5a5f49d6c1b5e06c33",
 	"rf":         "a28edfe3273bb40758531dcdb26476c3f73ec1ad79bc839f7fc68d04bcc21113",
@@ -82,7 +82,7 @@ func TestMultiOutputSaveGolden(t *testing.T) {
 // technique's tree for the same column. Changes to how a fitted model
 // is stored or evaluated must leave every digest untouched.
 var predictGolden = map[string]string{
-	"linear":     "7063d50ceca955df321b8972e927bb00854c5a43c575ee7294910a1d6cf2d346",
+	"linear":     "c3beae378951f8377b1a8ec21860a8f7c3c1ef29f70cf8c45a99095cc1c492d1",
 	"logistic":   "1a8fa591d2428fe642862e74a7bc62d859af442e539ac8a7e5a6c403ba2078a9",
 	"gb":         "fbf3af2ada7a851406a6cde4b0cedc129fb9e031fda923a64c001e75475cd1e8",
 	"rf":         "53a6f926966c8e6106c967eb5946dc18cb5ff3daf6fce3f6f094e86d031b7493",

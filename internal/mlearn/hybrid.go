@@ -52,14 +52,14 @@ func NewHybridRSL(cfg HybridConfig) *HybridRSL {
 // Fit trains both legs, builds the meta-features, and fits the logistic
 // fusion layer.
 func (m *HybridRSL) Fit(x [][]float64, y []int) error {
-	return m.fitPrepared(Prepare(x), y)
+	return m.fitPrepared(Prepare(x), y, &workspace{})
 }
 
 // fitPrepared fits both full legs over px's shared bins and scaling;
 // the cross-fitting folds are row subsets and fit on their own.
-func (m *HybridRSL) fitPrepared(px *Prepared, y []int) error {
+func (m *HybridRSL) fitPrepared(px *Prepared, y []int, ws *workspace) error {
 	x := px.x
-	if _, err := validateXY(x, y); err != nil {
+	if _, err := px.check(y); err != nil {
 		return err
 	}
 	n := len(x)
@@ -68,7 +68,7 @@ func (m *HybridRSL) fitPrepared(px *Prepared, y []int) error {
 	rfCfg := m.cfg.RF
 	rfCfg.Seed = m.cfg.Seed + 101
 	m.rf = NewRandomForest(rfCfg)
-	if err := m.rf.fitPrepared(px, y); err != nil {
+	if err := m.rf.fitPrepared(px, y, ws); err != nil {
 		return fmt.Errorf("hybrid-rsl: rf leg: %w", err)
 	}
 
@@ -103,7 +103,7 @@ func (m *HybridRSL) fitPrepared(px *Prepared, y []int) error {
 	svmCfg := m.cfg.SVM
 	svmCfg.Seed = m.cfg.Seed + 307
 	m.svm = NewSVM(svmCfg)
-	if err := m.svm.fitPrepared(px, y); err != nil {
+	if err := m.svm.fitPrepared(px, y, ws); err != nil {
 		return fmt.Errorf("hybrid-rsl: svm leg: %w", err)
 	}
 	if !crossFit {

@@ -2,6 +2,7 @@ package mlearn
 
 import (
 	"math"
+	"slices"
 
 	"github.com/aquascale/aquascale/internal/matrix"
 )
@@ -91,91 +92,98 @@ func NewLinearRegression(cfg LinearConfig) *LinearRegression {
 	return &LinearRegression{cfg: cfg}
 }
 
-// Fit solves the weighted normal equations (XᵀWX + λI)β = XᵀWy with
+// Fit solves the weighted normal equations (XᵀWX + λnI)β = XᵀWy with
 // balanced class weights.
 func (m *LinearRegression) Fit(x [][]float64, y []int) error {
-	return m.fitPrepared(Prepare(x), y)
+	return m.fitPrepared(Prepare(x), y, &workspace{})
 }
 
-func (m *LinearRegression) fitPrepared(px *Prepared, y []int) error {
-	d, err := validateXY(px.x, y)
+// fitPrepared assembles the normal equations from px's shared Gram
+// matrix G. The balanced weights take two values, so with M the
+// majority class and m the minority class (the positives on a tie)
+//
+//	XᵀWX = w_M·G + (w_m − w_M)·Σ_{i∈m} x̃ᵢx̃ᵢᵀ,
+//
+// where w_m ≥ w_M: a positive combination of positive-semidefinite
+// terms, so nothing cancels. XᵀWy is w_1 times the sum of the positive
+// rows: the minority sum itself, or G's bias row (the column sums)
+// minus it. A column costs O(r·k²) for its r minority rows plus the
+// O(k³) solve instead of O(n·k²), and writes only into ws.
+func (m *LinearRegression) fitPrepared(px *Prepared, y []int, ws *workspace) error {
+	d, err := px.check(y)
 	if err != nil {
 		return err
 	}
-	var cols []float64
-	m.scale, cols = px.standardizedCols()
-	a, b := normalEquations(cols, y, d+1)
-	for p := 0; p <= d; p++ {
-		a.Add(p, p, m.cfg.Lambda*float64(len(y)))
+	k := d + 1
+	var g []float64
+	m.scale, g = px.gramMatrix()
+	cw := classWeights(y)
+	var counts [2]int
+	for _, v := range y {
+		counts[v]++
 	}
-	beta, err := matrix.SolveSPD(a, b)
-	if err != nil {
+	minor := 1
+	if counts[0] < counts[1] {
+		minor = 0
+	}
+	wMajor, c := cw[1-minor], cw[minor]-cw[1-minor]
+
+	// Gather the minority rows, standardized exactly as G's columns
+	// were, column-major: feature p of minority row t is rows[p·r+t].
+	ws.minor = ws.minor[:0]
+	for i, v := range y {
+		if v == minor {
+			ws.minor = append(ws.minor, i)
+		}
+	}
+	r := len(ws.minor)
+	ws.rows = slices.Grow(ws.rows[:0], k*r)
+	rows := ws.rows[:k*r]
+	for p := 0; p < d; p++ {
+		mean, inv := m.scale.mean[p], m.scale.inv[p]
+		for t, i := range ws.minor {
+			rows[p*r+t] = (px.x[i][p] - mean) * inv
+		}
+	}
+	for t := range ws.minor {
+		rows[d*r+t] = 1
+	}
+
+	if ws.a == nil || ws.a.Rows() != k {
+		ws.a, ws.b = matrix.NewDense(k, k), make([]float64, k)
+	}
+	ridge := m.cfg.Lambda * float64(len(y))
+	for p := 0; p < k; p++ {
+		rp, ap, gp := rows[p*r:(p+1)*r], ws.a.Row(p), g[p*k:(p+1)*k]
+		for q := 0; q <= p; q++ {
+			rq := rows[q*r : (q+1)*r]
+			s := 0.0
+			for t, v := range rp {
+				s += v * rq[t]
+			}
+			ap[q] = wMajor*gp[q] + c*s
+		}
+		ap[p] += ridge
+		sum := 0.0
+		for _, v := range rp {
+			sum += v
+		}
+		if minor == 1 {
+			ws.b[p] = cw[1] * sum
+		} else {
+			ws.b[p] = cw[1] * (g[d*k+p] - sum)
+		}
+	}
+	if err := ws.chol.Refactorize(ws.a); err != nil {
 		return err
 	}
-	m.w = beta[:d]
-	m.bias = beta[d]
+	if err := ws.chol.SolveTo(ws.b, ws.b); err != nil {
+		return err
+	}
+	m.w = append([]float64(nil), ws.b[:d]...)
+	m.bias = ws.b[d]
 	m.fitted = true
 	return nil
-}
-
-// normalEquations returns XᵀWX, lower triangle only (all SolveSPD
-// reads), and XᵀWy for the k column-major columns of cols (standardized
-// features plus the bias column, n = len(y) rows each), with W the
-// balanced class weights.
-//
-// Each entry is accumulated from +0 over the rows in order, adding
-// (w_i·x_ip)·x_iq, or w_i·x_ip over the positive rows for XᵀWy: the
-// operations of a row-by-row rank-1 update, so the result is
-// bit-identical to one. Loop interchange makes it fast: row p of XᵀW is
-// formed once into wp, and entry (p, q) is the dot product of wp with
-// column q, four columns at a time in independent accumulators. A
-// rank-1 update that skipped x_ip = 0 or multiplied by y_i = 0 would
-// only leave out ±0 terms, and adding ±0 never changes an accumulator
-// that started at +0, so the bits agree for finite features.
-func normalEquations(cols []float64, y []int, k int) (*matrix.Dense, []float64) {
-	n := len(y)
-	cw := classWeights(y)
-	a := matrix.NewDense(k, k)
-	b := make([]float64, k)
-	wp := make([]float64, n)
-	for p := 0; p < k; p++ {
-		bp := 0.0
-		for i, v := range cols[p*n : (p+1)*n] {
-			w := cw[y[i]] * v
-			wp[i] = w
-			if y[i] == 1 {
-				bp += w
-			}
-		}
-		b[p] = bp
-		q := p
-		for ; q+4 <= k; q += 4 {
-			c0 := cols[q*n:][:n]
-			c1 := cols[(q+1)*n:][:n]
-			c2 := cols[(q+2)*n:][:n]
-			c3 := cols[(q+3)*n:][:n]
-			var s0, s1, s2, s3 float64
-			for i, w := range wp {
-				s0 += w * c0[i]
-				s1 += w * c1[i]
-				s2 += w * c2[i]
-				s3 += w * c3[i]
-			}
-			a.Set(q, p, s0)
-			a.Set(q+1, p, s1)
-			a.Set(q+2, p, s2)
-			a.Set(q+3, p, s3)
-		}
-		for ; q < k; q++ {
-			c := cols[q*n:][:n]
-			s := 0.0
-			for i, w := range wp {
-				s += w * c[i]
-			}
-			a.Set(q, p, s)
-		}
-	}
-	return a, b
 }
 
 // PredictProba returns the clipped linear response. Non-finite features
@@ -238,11 +246,11 @@ func sigmoid(z float64) float64 {
 
 // Fit runs weighted batch gradient descent on the logistic loss.
 func (m *LogisticRegression) Fit(x [][]float64, y []int) error {
-	return m.fitPrepared(Prepare(x), y)
+	return m.fitPrepared(Prepare(x), y, &workspace{})
 }
 
-func (m *LogisticRegression) fitPrepared(px *Prepared, y []int) error {
-	d, err := validateXY(px.x, y)
+func (m *LogisticRegression) fitPrepared(px *Prepared, y []int, _ *workspace) error {
+	d, err := px.check(y)
 	if err != nil {
 		return err
 	}

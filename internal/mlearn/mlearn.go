@@ -25,6 +25,12 @@ import (
 // ErrNotFitted is returned when prediction is attempted before Fit.
 var ErrNotFitted = errors.New("mlearn: model not fitted")
 
+// ErrNonFiniteFeature is returned when a feature matrix given to Fit,
+// Prepare or MultiOutput.Fit holds a NaN or ±Inf; the error names its
+// row and column. Fitting on such a value would make every prediction
+// NaN.
+var ErrNonFiniteFeature = errors.New("mlearn: non-finite feature")
+
 // Classifier is a binary classifier with probabilistic output.
 //
 // All implementations in this package share the non-finite input
@@ -94,31 +100,6 @@ func init() {
 	Register("rf", func(seed int64) Classifier { return NewRandomForest(RFConfig{Seed: seed}) })
 	Register("svm", func(seed int64) Classifier { return NewSVM(SVMConfig{Seed: seed}) })
 	Register("hybrid-rsl", func(seed int64) Classifier { return NewHybridRSL(HybridConfig{Seed: seed}) })
-}
-
-// validateXY checks the common Fit preconditions.
-func validateXY(x [][]float64, y []int) (features int, err error) {
-	if len(x) == 0 {
-		return 0, errors.New("mlearn: empty training set")
-	}
-	if len(x) != len(y) {
-		return 0, fmt.Errorf("mlearn: %d feature rows but %d labels", len(x), len(y))
-	}
-	features = len(x[0])
-	if features == 0 {
-		return 0, errors.New("mlearn: zero-width feature rows")
-	}
-	for i, row := range x {
-		if len(row) != features {
-			return 0, fmt.Errorf("mlearn: ragged features: row %d has %d, want %d", i, len(row), features)
-		}
-	}
-	for i, label := range y {
-		if label != 0 && label != 1 {
-			return 0, fmt.Errorf("mlearn: label %d at row %d is not binary", label, i)
-		}
-	}
-	return features, nil
 }
 
 // classWeights returns balanced per-class weights (index 0 and 1): each

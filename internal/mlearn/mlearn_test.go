@@ -1,8 +1,11 @@
 package mlearn
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -176,6 +179,40 @@ func TestFitValidation(t *testing.T) {
 			if err := c.Fit(tc.x, tc.y); err == nil {
 				t.Fatalf("%s: Fit(%s) should error", name, tc.name)
 			}
+		}
+	}
+}
+
+// TestFitRefusesNonFiniteFeatures: a NaN or ±Inf anywhere in X fails
+// every technique's Fit, MultiOutput.Fit and FitColumns with
+// ErrNonFiniteFeature naming the cell, before any model is fitted.
+func TestFitRefusesNonFiniteFeatures(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		x, y := blobs(rng, 40, 0.3)
+		x[17][1] = bad
+		where := "row 17, column 1"
+		check := func(who string, err error) {
+			t.Helper()
+			if !errors.Is(err, ErrNonFiniteFeature) || !strings.Contains(err.Error(), where) {
+				t.Fatalf("%s with %v: err = %v, want ErrNonFiniteFeature at %s", who, bad, err, where)
+			}
+		}
+		for name, c := range makeAll(1) {
+			check(name, c.Fit(x, y))
+		}
+		yy := make([][]int, len(y))
+		for i, v := range y {
+			yy[i] = []int{v, 1 - v}
+		}
+		for _, name := range Names() {
+			check("MultiOutput/"+name, NewMultiOutput(namedFactory(t, name), 1).Fit(x, yy))
+		}
+		models := make([]Classifier, 2)
+		column := func(v int, dst []int) { copy(dst, y) }
+		check("FitColumns", FitColumns(context.Background(), Prepare(x), namedFactory(t, "linear"), 1, 0, 2, column, models))
+		if models[0] != nil || models[1] != nil {
+			t.Fatal("FitColumns fitted a column over a non-finite matrix")
 		}
 	}
 }

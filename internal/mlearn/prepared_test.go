@@ -68,6 +68,43 @@ func TestFitColumnsMatchesPlainFit(t *testing.T) {
 	}
 }
 
+// TestFitColumnsLinearMatchesPlainFit fits many ridge columns over one
+// Prepared matrix, so each worker's workspace is reused across columns
+// whose minority is the positives, the negatives, tied or empty and
+// whose minority row count grows and shrinks, and requires every column
+// to be bit-identical to a plain Fit with a fresh workspace.
+func TestFitColumnsLinearMatchesPlainFit(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	const n, d, outputs = 150, 7, 96
+	x := make([][]float64, n)
+	for i := range x {
+		x[i] = make([]float64, d)
+		for j := range x[i] {
+			x[i][j] = rng.NormFloat64() * float64(j+1)
+		}
+	}
+	kinds := []string{"minority-1", "minority-0", "tied", "all-0", "all-1"}
+	labels := make([][]int, outputs)
+	for v := range labels {
+		labels[v] = ridgeLabels(n, kinds[v%len(kinds)], rng)
+	}
+	column := func(v int, dst []int) { copy(dst, labels[v]) }
+	factory := namedFactory(t, "linear")
+	models := make([]Classifier, outputs)
+	if err := FitColumns(context.Background(), Prepare(x), factory, 5, 0, outputs, column, models); err != nil {
+		t.Fatalf("FitColumns: %v", err)
+	}
+	for v := range models {
+		alone := factory(5 + int64(v)*31337)
+		if err := alone.Fit(x, labels[v]); err != nil {
+			t.Fatalf("Fit: %v", err)
+		}
+		if !bytes.Equal(saveBytes(t, models[v]), saveBytes(t, alone)) {
+			t.Fatalf("output %d (%s) differs from a plain Fit", v, kinds[v%len(kinds)])
+		}
+	}
+}
+
 // recordingClassifier is a classifier from outside the package: it only
 // has the public interface.
 type recordingClassifier struct{ rows int }

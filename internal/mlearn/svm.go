@@ -50,11 +50,11 @@ func NewSVM(cfg SVMConfig) *SVM {
 // Fit runs Pegasos with balanced class weights, then fits the Platt
 // sigmoid on the training margins.
 func (m *SVM) Fit(x [][]float64, y []int) error {
-	return m.fitPrepared(Prepare(x), y)
+	return m.fitPrepared(Prepare(x), y, &workspace{})
 }
 
-func (m *SVM) fitPrepared(px *Prepared, y []int) error {
-	d, err := validateXY(px.x, y)
+func (m *SVM) fitPrepared(px *Prepared, y []int, _ *workspace) error {
+	d, err := px.check(y)
 	if err != nil {
 		return err
 	}

@@ -268,7 +268,8 @@ func NewDecisionTree(cfg TreeConfig) *DecisionTree {
 
 // Fit grows the tree.
 func (m *DecisionTree) Fit(x [][]float64, y []int) error {
-	if _, err := validateXY(x, y); err != nil {
+	px := Prepare(x)
+	if _, err := px.check(y); err != nil {
 		return err
 	}
 	cw := classWeights(y)
@@ -283,7 +284,7 @@ func (m *DecisionTree) Fit(x [][]float64, y []int) error {
 		indices[i] = i
 	}
 	m.arena = flatArena{}
-	newGrower(newBinner(x), target, weight, growConfig{
+	newGrower(px.bins(), target, weight, growConfig{
 		maxDepth: m.cfg.MaxDepth,
 		minLeaf:  m.cfg.MinLeaf,
 		leafValue: func(indices []int) float64 {
