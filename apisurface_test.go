@@ -104,7 +104,6 @@ func TestExportedAPISurface(t *testing.T) {
 const goldenSurface = `
 const Closed
 const ColdSnapWeather
-const DistGenProtoVersion
 const FlowSensor
 const FreezeThresholdF
 const Junction
@@ -140,7 +139,6 @@ func ExperimentIDs
 func ExperimentSpanName
 func Experiments
 func FuseOdds
-func GenerateCorpusDistributed
 func GenerateMarkovWeather
 func GenerateWeatherSeries
 func HammingScore
@@ -167,7 +165,6 @@ func ParseTechnique
 func ReadINP
 func ReadRuntimeHealth
 func ReadSensors
-func RunCorpusWorker
 func RunEPS
 func RunEPSContext
 func RunQuality
@@ -194,12 +191,10 @@ type CorpusReader
 type CorpusResult
 type CorpusSample
 type CorpusTrainOptions
-type CorpusWorkerOptions
 type DEM
 type DataSample
 type Dataset
 type DatasetConfig
-type DistGenOptions
 type EPSOptions
 type Emitter
 type EvalResult

@@ -30,13 +30,12 @@
 // RunEPSContext, RunQualityContext, TrainProfileContext,
 // SimulateFloodContext, Factory.GenerateContext, System.TrainContext,
 // System.EvaluateParallelContext, Factory.GenerateCorpus,
-// TrainProfileFromCorpus, GenerateCorpusDistributed — that observes
-// cancellation at its loop boundaries (between solver steps, scenario
-// dispatches, per-junction classifier fits): in-flight work finishes,
-// partial state is never published, and the error is ctx.Err(). The
-// context-free spellings (RunEPS, RunQuality, TrainProfile,
-// SimulateFlood, …) are documented one-line shorthands for the Context
-// form with context.Background().
+// TrainProfileFromCorpus — that observes cancellation at its loop
+// boundaries (between solver steps, scenario dispatches, per-junction
+// classifier fits): in-flight work finishes, partial state is never
+// published, and the error is ctx.Err(). The context-free spellings
+// (RunEPS, RunQuality, TrainProfile, SimulateFlood, …) are documented
+// one-line shorthands for the Context form with context.Background().
 //
 // Quickstart:
 //
@@ -59,7 +58,6 @@ import (
 	"github.com/aquascale/aquascale/internal/core"
 	"github.com/aquascale/aquascale/internal/dataset"
 	"github.com/aquascale/aquascale/internal/detect"
-	"github.com/aquascale/aquascale/internal/distgen"
 	"github.com/aquascale/aquascale/internal/faults"
 	"github.com/aquascale/aquascale/internal/flood"
 	"github.com/aquascale/aquascale/internal/fusion"
@@ -342,12 +340,20 @@ const (
 // bit-identical to the in-memory Generate+TrainOn path at the same seed.
 // Both generation and training are restartable: generation resumes at
 // shard granularity (-resume in aquatrain), training through an
-// incremental per-junction checkpoint file.
+// incremental per-junction checkpoint file. To split generation across
+// hosts, each host runs Factory.GenerateShardRange over its own shard
+// range of one CorpusPlan; the shard files copied into one directory
+// form the corpus, and a GenerateCorpus resume fills any gap.
 type (
 	// CorpusOptions configures corpus generation (shard size, resume).
 	CorpusOptions = dataset.CorpusOptions
 	// CorpusResult summarizes a corpus generation run.
 	CorpusResult = dataset.CorpusResult
+	// CorpusPlan is the deterministic shard partition of one corpus
+	// (Factory.PlanCorpus). Shards are pure functions of the plan, so
+	// disjoint Factory.GenerateShardRange calls, on one host or
+	// several, write the same bytes as one GenerateCorpus run.
+	CorpusPlan = dataset.CorpusPlan
 	// CorpusReader streams a corpus shard by shard.
 	CorpusReader = dataset.CorpusReader
 	// CorpusSample is one streamed sample; its buffers are only valid
@@ -398,43 +404,6 @@ func VerifyShard(path string) (ShardHeader, error) { return dataset.VerifyShard(
 // resumes past completed junctions.
 func TrainProfileFromCorpus(ctx context.Context, r *CorpusReader, nodeCount int, cfg ProfileConfig, opt CorpusTrainOptions) (*Profile, error) {
 	return core.TrainProfileFromCorpus(ctx, r, nodeCount, cfg, opt)
-}
-
-// Distributed corpus generation (coordinator/worker shard fan-out).
-//
-// GenerateCorpusDistributed partitions a planned corpus into shard
-// ranges and leases them to worker processes over a small versioned
-// HTTP protocol; every uploaded shard is verified against the plan,
-// expired leases are reassigned (regeneration is byte-identical, so
-// re-execution is idempotent), and the merged directory is validated
-// to be exactly what single-process GenerateCorpus would have written
-// at the same seed.
-type (
-	// DistGenOptions configures a distributed generation run (worker
-	// count, lease TTL, range grain, resume, worker launcher).
-	DistGenOptions = distgen.Options
-	// CorpusWorkerOptions configures one generation worker.
-	CorpusWorkerOptions = distgen.WorkerOptions
-	// CorpusPlan is the deterministic shard partition of one corpus,
-	// shared by coordinator and workers.
-	CorpusPlan = dataset.CorpusPlan
-)
-
-// DistGenProtoVersion is the coordinator/worker wire-protocol version.
-const DistGenProtoVersion = distgen.ProtoVersion
-
-// GenerateCorpusDistributed runs a coordinated multi-process corpus
-// generation into dir — byte-identical to f.GenerateCorpus at the same
-// seed and shard size, for any worker count and any lease reassignment
-// history.
-func GenerateCorpusDistributed(ctx context.Context, f *Factory, count int, seed int64, dir string, opt DistGenOptions) (*CorpusResult, error) {
-	return distgen.Coordinate(ctx, f, count, seed, dir, opt)
-}
-
-// RunCorpusWorker runs one generation worker against a coordinator
-// until the corpus completes — the library form of `aquatrain -worker`.
-func RunCorpusWorker(ctx context.Context, coordinatorURL string, opt CorpusWorkerOptions) error {
-	return distgen.RunWorker(ctx, coordinatorURL, opt)
 }
 
 // ParseTechnique validates a technique name ("" means TechniqueHybridRSL);

@@ -16,14 +16,8 @@
 //	aquatrain -net wssc -samples 20000 -corpus-out /data/corpus -resume
 //	aquatrain -net wssc -samples 20000 -corpus-in /data/corpus
 //
-// Distributed mode fans corpus generation out across worker processes.
-// The coordinating run spawns local `aquatrain -worker` subprocesses
-// (one per -workers-procs); workers rebuild the deployment from the
-// same flags, lease shard ranges over HTTP, and upload verified shards.
-// The merged corpus is byte-identical to the single-process run:
-//
-//	aquatrain -net wssc -samples 20000 -corpus-out /data/corpus -workers-procs 4
-//	aquatrain -net wssc -worker -coordinator http://host:port   # remote worker
+// Without -resume, training starts fresh: a training checkpoint left in
+// the corpus directory by an earlier run is discarded.
 package main
 
 import (
@@ -34,7 +28,6 @@ import (
 	"io"
 	"math/rand"
 	"os"
-	"os/exec"
 	"os/signal"
 	"path/filepath"
 	"strings"
@@ -73,9 +66,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		corpusIn   = fs.String("corpus-in", "", "train from an existing corpus directory (skips generation; must match -net/-iot/-seed and the generation flags)")
 		shardSamps = fs.Int("shard-samples", 1024, "scenarios per corpus shard (with -corpus-out)")
 		resume     = fs.Bool("resume", false, "resume an interrupted corpus run: keep verified shards and the training checkpoint")
-		workerN    = fs.Int("workers-procs", 0, "with -corpus-out: fan shard generation out across this many spawned `aquatrain -worker` subprocesses")
-		workerMode = fs.Bool("worker", false, "run as a distributed-generation worker against -coordinator (deployment flags must match the coordinating run)")
-		coordURL   = fs.String("coordinator", "", "coordinator base URL for -worker mode")
 		savePath   = fs.String("save", "", "write the trained profile to this file (gob)")
 		metricsOut = fs.String("metrics-out", "", "write a JSON telemetry snapshot to this file on exit")
 		httpAddr   = fs.String("http", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. localhost:6060)")
@@ -89,12 +79,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	if *corpusOut != "" && *corpusIn != "" {
 		return fmt.Errorf("-corpus-out and -corpus-in are mutually exclusive")
-	}
-	if *workerMode && *coordURL == "" {
-		return fmt.Errorf("-worker needs -coordinator URL")
-	}
-	if *workerN > 0 && *corpusOut == "" {
-		return fmt.Errorf("-workers-procs needs -corpus-out")
 	}
 
 	// Enable instrumentation before any solver or factory is built, so
@@ -162,35 +146,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 
-	if *workerMode {
-		fmt.Fprintf(out, "worker %d: serving coordinator %s\n", os.Getpid(), *coordURL)
-		return aquascale.RunCorpusWorker(ctx, *coordURL, aquascale.CorpusWorkerOptions{
-			Factory: factory,
-			ID:      fmt.Sprintf("proc-%d", os.Getpid()),
-		})
-	}
-
 	profCfg := aquascale.ProfileConfig{Technique: technique, Seed: *seed + 77}
 	var profile *aquascale.Profile
 	if *corpusOut != "" || *corpusIn != "" {
-		// Subprocess workers must rebuild this exact deployment; the
-		// handshake and shard verification enforce it, these flags
-		// deliver it.
-		spawnArgs := []string{
-			"-worker",
-			"-net", *netName,
-			"-iot", fmt.Sprint(*iotPct),
-			"-seed", fmt.Sprint(*seed),
-			"-min-leaks", fmt.Sprint(*minLeaks),
-			"-max-leaks", fmt.Sprint(*maxLeaks),
-			"-retries", fmt.Sprint(*retries),
-			"-fail-fast=" + fmt.Sprint(*failFast),
-			"-fault-dropout", fmt.Sprint(*fDropout),
-			"-fault-stuck", fmt.Sprint(*fStuck),
-			"-fault-nan", fmt.Sprint(*fNaN),
-			"-fault-solver", fmt.Sprint(*fSolver),
-			"-fault-solver-attempts", fmt.Sprint(*fAttempts),
-		}
 		profile, err = trainOutOfCore(ctx, factory, net, outOfCoreOptions{
 			out:          *corpusOut,
 			in:           *corpusIn,
@@ -198,8 +156,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			seed:         *seed,
 			shardSamples: *shardSamps,
 			resume:       *resume,
-			workerProcs:  *workerN,
-			spawnArgs:    spawnArgs,
 		}, profCfg, out)
 		if err != nil {
 			return err
@@ -290,45 +246,26 @@ type outOfCoreOptions struct {
 	seed         int64
 	shardSamples int
 	resume       bool
-	workerProcs  int
-	spawnArgs    []string
 }
 
 // trainOutOfCore runs the streamed generate→train pipeline: shards on
 // disk instead of an in-RAM dataset, resumable on both sides, and
 // bit-identical to the in-memory path at the same -seed. Ctrl-C stops
 // between scenarios/shards; a rerun with -resume picks up where it left
-// off. With workerProcs > 0 generation fans out across spawned
-// `aquatrain -worker` subprocesses — the corpus is still byte-identical.
+// off; without -resume a stale training checkpoint is discarded first.
 func trainOutOfCore(ctx context.Context, factory *aquascale.Factory, net *aquascale.Network, opt outOfCoreOptions, cfg aquascale.ProfileConfig, out io.Writer) (*aquascale.Profile, error) {
 	dir := opt.in
 	if opt.out != "" {
 		dir = opt.out
 		genStart := time.Now()
-		var (
-			res *aquascale.CorpusResult
-			err error
-		)
+		fmt.Fprintf(out, "generating %d training scenarios into %s (shards of %d)...\n",
+			opt.samples, opt.out, opt.shardSamples)
 		// Seed +11 matches the in-memory Generate path, so the corpus is
 		// bit-compatible with a plain `aquatrain -seed N` run.
-		if opt.workerProcs > 0 {
-			fmt.Fprintf(out, "generating %d training scenarios into %s (shards of %d, %d worker processes)...\n",
-				opt.samples, opt.out, opt.shardSamples, opt.workerProcs)
-			res, err = aquascale.GenerateCorpusDistributed(ctx, factory, opt.samples, opt.seed+11, opt.out,
-				aquascale.DistGenOptions{
-					ShardSamples: opt.shardSamples,
-					Resume:       opt.resume,
-					Workers:      opt.workerProcs,
-					StartWorker:  spawnWorkerProc(opt.spawnArgs),
-				})
-		} else {
-			fmt.Fprintf(out, "generating %d training scenarios into %s (shards of %d)...\n",
-				opt.samples, opt.out, opt.shardSamples)
-			res, err = factory.GenerateCorpus(ctx, opt.samples, opt.seed+11, opt.out, aquascale.CorpusOptions{
-				ShardSamples: opt.shardSamples,
-				Resume:       opt.resume,
-			})
-		}
+		res, err := factory.GenerateCorpus(ctx, opt.samples, opt.seed+11, opt.out, aquascale.CorpusOptions{
+			ShardSamples: opt.shardSamples,
+			Resume:       opt.resume,
+		})
 		if err != nil {
 			if ctx.Err() != nil {
 				fmt.Fprintln(os.Stderr, "aquatrain: interrupted; completed shards are verified — rerun with -resume to continue")
@@ -357,6 +294,11 @@ func trainOutOfCore(ctx context.Context, factory *aquascale.Factory, net *aquasc
 
 	trainStart := time.Now()
 	ckpt := filepath.Join(dir, "train.ckpt")
+	if !opt.resume {
+		if err := os.Remove(ckpt); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return nil, err
+		}
+	}
 	profile, err := aquascale.TrainProfileFromCorpus(ctx, r, len(net.Nodes), cfg, aquascale.CorpusTrainOptions{
 		CheckpointPath: ckpt,
 	})
@@ -369,23 +311,6 @@ func trainOutOfCore(ctx context.Context, factory *aquascale.Factory, net *aquasc
 	fmt.Fprintf(out, "trained %s profile (%d per-node classifiers) in %v\n",
 		cfg.Technique, len(r.Junctions()), time.Since(trainStart).Round(time.Millisecond))
 	return profile, nil
-}
-
-// spawnWorkerProc returns a StartWorker that execs this binary as
-// `aquatrain -worker ... -coordinator <url>`. Worker output goes to
-// stderr; killing the coordinator's context kills the subprocesses.
-func spawnWorkerProc(spawnArgs []string) func(ctx context.Context, url string, id int) error {
-	return func(ctx context.Context, url string, id int) error {
-		exe, err := os.Executable()
-		if err != nil {
-			return err
-		}
-		args := append(append([]string{}, spawnArgs...), "-coordinator", url)
-		cmd := exec.CommandContext(ctx, exe, args...)
-		cmd.Stdout = os.Stderr
-		cmd.Stderr = os.Stderr
-		return cmd.Run()
-	}
 }
 
 func buildNetwork(name string) (*aquascale.Network, error) {

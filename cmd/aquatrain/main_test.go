@@ -3,200 +3,54 @@ package main
 import (
 	"bytes"
 	"context"
-	"fmt"
-	"math/rand"
-	"os"
-	"os/exec"
-	"path/filepath"
-	"sort"
-	"sync"
+	"strings"
 	"testing"
-	"time"
-
-	"github.com/aquascale/aquascale"
 )
 
-// TestMain doubles as the worker helper process: when the test binary is
-// spawned as `<binary> -worker ...` (which is exactly what the
-// coordinator's StartWorker does via os.Executable()), it behaves as the
-// real aquatrain worker instead of running the test suite.
-func TestMain(m *testing.M) {
-	if len(os.Args) > 1 && os.Args[1] == "-worker" {
-		if err := run(context.Background(), os.Args[1:], os.Stderr); err != nil {
-			fmt.Fprintln(os.Stderr, "aquatrain worker helper:", err)
-			os.Exit(1)
-		}
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
-
-// shardBytes reads every shard file in dir into a name → content map.
-func shardBytes(t *testing.T, dir string) map[string][]byte {
+// runCLI runs aquatrain with args and returns its stdout.
+func runCLI(t *testing.T, args ...string) string {
 	t.Helper()
-	paths, err := filepath.Glob(filepath.Join(dir, "shard-*.aqsc"))
-	if err != nil {
-		t.Fatalf("glob: %v", err)
-	}
-	out := make(map[string][]byte, len(paths))
-	for _, p := range paths {
-		b, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatalf("ReadFile: %v", err)
-		}
-		out[filepath.Base(p)] = b
-	}
-	return out
-}
-
-func assertSameShards(t *testing.T, gotDir, wantDir string) {
-	t.Helper()
-	got, want := shardBytes(t, gotDir), shardBytes(t, wantDir)
-	if len(got) != len(want) {
-		t.Fatalf("shard count %d, want %d", len(got), len(want))
-	}
-	names := make([]string, 0, len(want))
-	for name := range want {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		g, ok := got[name]
-		if !ok {
-			t.Fatalf("shard %s missing", name)
-		}
-		if !bytes.Equal(g, want[name]) {
-			t.Fatalf("shard %s bytes diverge", name)
-		}
-	}
-}
-
-// TestCLIDistributedMatchesSingleProcess drives the full CLI path: a
-// coordinating `aquatrain -corpus-out -workers-procs 3` run spawns three
-// real worker OS processes, and the merged corpus (plus the profile
-// trained from it) is byte-identical to the single-process run.
-func TestCLIDistributedMatchesSingleProcess(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns worker subprocesses")
-	}
-	singleDir := t.TempDir()
-	distDir := t.TempDir()
-	base := []string{
-		"-net", "test", "-iot", "30", "-samples", "48", "-seed", "1",
-		"-shard-samples", "4", "-test", "5",
-	}
 	var out bytes.Buffer
-	if err := run(context.Background(), append(append([]string{}, base...), "-corpus-out", singleDir), &out); err != nil {
-		t.Fatalf("single-process run: %v\n%s", err, out.String())
+	if err := run(context.Background(), args, &out); err != nil {
+		t.Fatalf("aquatrain %s: %v\n%s", strings.Join(args, " "), err, out.String())
 	}
-	out.Reset()
-	if err := run(context.Background(), append(append([]string{}, base...),
-		"-corpus-out", distDir, "-workers-procs", "3"), &out); err != nil {
-		t.Fatalf("distributed run: %v\n%s", err, out.String())
-	}
-	assertSameShards(t, distDir, singleDir)
+	return out.String()
 }
 
-// TestDistributedWorkerProcessKilled kills one of three real worker OS
-// processes mid-corpus (as soon as the first shard lands in staging),
-// and asserts the lease machinery recovers to a corpus byte-identical to
-// the single-process run.
-func TestDistributedWorkerProcessKilled(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns worker subprocesses")
-	}
-	const seed = 1
-	net, err := buildNetwork("test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseline, err := aquascale.RunEPS(net, aquascale.EPSOptions{Duration: 6 * time.Hour, Step: time.Hour}, nil)
-	if err != nil {
-		t.Fatalf("RunEPS: %v", err)
-	}
-	placer, err := aquascale.NewPlacer(net, baseline)
-	if err != nil {
-		t.Fatalf("NewPlacer: %v", err)
-	}
-	sensors, err := placer.KMedoids(placer.CountForPercent(30), rand.New(rand.NewSource(seed+3)))
-	if err != nil {
-		t.Fatalf("KMedoids: %v", err)
-	}
-	factory, err := aquascale.NewFactory(net, sensors, aquascale.DatasetConfig{
-		Noise: aquascale.DefaultSensorNoise,
-		Leaks: aquascale.LeakGeneratorConfig{MinEvents: 1, MaxEvents: 5},
-		// Matches the worker helper's flag defaults (the digest covers
-		// every fault knob, including -fault-solver-attempts' default 1).
-		Faults: aquascale.FaultConfig{SolverFailAttempts: 1},
-	})
-	if err != nil {
-		t.Fatalf("NewFactory: %v", err)
-	}
-
-	const count, corpusSeed = 60, seed + 11
-	wantDir := t.TempDir()
-	if _, err := factory.GenerateCorpus(context.Background(), count, corpusSeed, wantDir,
-		aquascale.CorpusOptions{ShardSamples: 4}); err != nil {
-		t.Fatalf("GenerateCorpus: %v", err)
-	}
-
-	gotDir := t.TempDir()
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var (
-		procMu sync.Mutex
-		victim *os.Process
-	)
-	// Kill the victim as soon as any shard reaches the coordinator's
-	// staging directory — leases are certainly in flight by then.
-	killed := make(chan struct{})
-	go func() {
-		defer close(killed)
-		deadline := time.Now().Add(20 * time.Second)
-		for time.Now().Before(deadline) {
-			staged, _ := filepath.Glob(filepath.Join(gotDir, ".distgen", "shard-*.aqsc"))
-			if len(staged) > 0 {
-				procMu.Lock()
-				p := victim
-				procMu.Unlock()
-				if p != nil {
-					p.Kill()
-					return
-				}
-			}
-			time.Sleep(10 * time.Millisecond)
+// hammingLine returns the held-out score line of one run's output.
+func hammingLine(t *testing.T, out string) string {
+	t.Helper()
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "held-out mean Hamming score") {
+			return line
 		}
-	}()
+	}
+	t.Fatalf("no held-out score line in output:\n%s", out)
+	return ""
+}
 
-	res, err := aquascale.GenerateCorpusDistributed(context.Background(), factory, count, corpusSeed, gotDir,
-		aquascale.DistGenOptions{
-			ShardSamples: 4,
-			Workers:      3,
-			RangeShards:  3,
-			LeaseTTL:     500 * time.Millisecond,
-			StartWorker: func(ctx context.Context, url string, id int) error {
-				args := []string{"-worker", "-net", "test", "-iot", "30", "-seed", fmt.Sprint(seed), "-coordinator", url}
-				cmd := exec.CommandContext(ctx, exe, args...)
-				cmd.Stderr = os.Stderr
-				if err := cmd.Start(); err != nil {
-					return err
-				}
-				if id == 0 {
-					procMu.Lock()
-					victim = cmd.Process
-					procMu.Unlock()
-				}
-				return cmd.Wait()
-			},
-		})
-	if err != nil {
-		t.Fatalf("GenerateCorpusDistributed: %v", err)
+// TestCLICorpusOutIn drives the out-of-core CLI end to end: a
+// -corpus-out run and a -corpus-in run over its directory print the
+// same held-out score, -resume over the finished corpus writes no
+// shard, and a -corpus-in run with another technique trains fresh
+// instead of refusing the earlier run's training checkpoint.
+func TestCLICorpusOutIn(t *testing.T) {
+	dir := t.TempDir()
+	base := []string{"-net", "test", "-samples", "48", "-test", "5", "-shard-samples", "16"}
+	with := func(extra ...string) []string {
+		return append(append([]string{}, base...), extra...)
 	}
-	<-killed
-	if res.ShardsWritten != 15 {
-		t.Fatalf("ShardsWritten = %d, want 15", res.ShardsWritten)
+
+	outRun := runCLI(t, with("-corpus-out", dir, "-technique", "linear")...)
+	inRun := runCLI(t, with("-corpus-in", dir, "-technique", "linear")...)
+	if got, want := hammingLine(t, inRun), hammingLine(t, outRun); got != want {
+		t.Fatalf("-corpus-in score %q, -corpus-out score %q", got, want)
 	}
-	assertSameShards(t, gotDir, wantDir)
+
+	resumed := runCLI(t, with("-corpus-out", dir, "-resume", "-technique", "linear")...)
+	if !strings.Contains(resumed, "(0 written, 3 resumed)") {
+		t.Fatalf("-resume over a finished corpus regenerated shards:\n%s", resumed)
+	}
+
+	runCLI(t, with("-corpus-in", dir, "-technique", "rf")...)
 }

@@ -6,12 +6,10 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"time"
 
 	"github.com/aquascale/aquascale/internal/core"
 	"github.com/aquascale/aquascale/internal/dataset"
-	"github.com/aquascale/aquascale/internal/distgen"
 	"github.com/aquascale/aquascale/internal/network"
 )
 
@@ -127,116 +125,5 @@ func CorpusThroughput(scale Scale) (*Figure, error) {
 		"streamed training re-reads the corpus once per junction window, holding O(shard) resident — corpus size no longer bounds trainable scale",
 		"generation throughput is solver-bound; the shard writer adds CRC-32C and one fsync+rename per shard",
 	)
-
-	if err := corpusDistributedSection(fig, scale); err != nil {
-		return nil, err
-	}
 	return fig, nil
-}
-
-// corpusDistributedSection compares single-process GenerateCorpus against
-// the coordinator/worker fan-out (3 in-process workers) on a synthetic
-// looped grid, asserting the contract the distributed path ships under:
-// the merged corpus is bitwise-identical to the single-process one at the
-// same seed.
-func corpusDistributedSection(fig *Figure, scale Scale) error {
-	tb, err := newTestbed(func() *network.Network {
-		return network.BuildGrid(network.GridConfig{Rows: 6, Cols: 6})
-	})
-	if err != nil {
-		return err
-	}
-	sensors, err := tb.sensorsAtPercent(30, scale.Seed+3)
-	if err != nil {
-		return err
-	}
-	factory, err := tb.factoryFor(sensors, epanetMultiLeak, scale)
-	if err != nil {
-		return err
-	}
-
-	count := scale.TrainSamples
-	shardSamples := (count + 11) / 12 // ~12 shards so three workers get real ranges
-	if shardSamples < 1 {
-		shardSamples = 1
-	}
-	ctx := context.Background()
-
-	singleDir, err := os.MkdirTemp("", "aquascale-distgen-single-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(singleDir)
-	singleStart := time.Now()
-	singleRes, err := factory.GenerateCorpus(ctx, count, scale.Seed+11, singleDir,
-		dataset.CorpusOptions{ShardSamples: shardSamples})
-	if err != nil {
-		return fmt.Errorf("bench: distgen single-process: %w", err)
-	}
-	single := time.Since(singleStart)
-
-	distDir, err := os.MkdirTemp("", "aquascale-distgen-dist-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(distDir)
-	distStart := time.Now()
-	distRes, err := distgen.Coordinate(ctx, factory, count, scale.Seed+11, distDir,
-		distgen.Options{ShardSamples: shardSamples, Workers: 3})
-	if err != nil {
-		return fmt.Errorf("bench: distgen coordinate: %w", err)
-	}
-	dist := time.Since(distStart)
-
-	if err := sameShardBytes(distDir, singleDir); err != nil {
-		return fmt.Errorf("bench: distgen parity: %w", err)
-	}
-
-	fig.Tables = append(fig.Tables, Table{
-		Title: fmt.Sprintf("distributed generation, %d-junction grid, %d scenarios (%d shards)",
-			len(tb.net.Nodes), count, singleRes.Shards),
-		Columns: []string{"path", "workers", "generate s", "samples/s"},
-		Rows: [][]string{
-			{"single-process", "1", fmt.Sprintf("%.2f", single.Seconds()),
-				fmt.Sprintf("%.0f", float64(singleRes.Samples)/single.Seconds())},
-			{"distributed (in-process)", "3", fmt.Sprintf("%.2f", dist.Seconds()),
-				fmt.Sprintf("%.0f", float64(distRes.Samples)/dist.Seconds())},
-		},
-	})
-	fig.Notes = append(fig.Notes,
-		"merged distributed corpus bitwise-identical to the single-process corpus at the same seed (also pinned under -race by internal/distgen tests)",
-		"distributed wall-clock reflects the host's core count — on a single-core host the fan-out adds coordination overhead without parallel speedup; the row measures protocol cost, not scaling",
-	)
-	return nil
-}
-
-// sameShardBytes errors unless both directories hold identical shard sets
-// with identical bytes.
-func sameShardBytes(gotDir, wantDir string) error {
-	want, err := filepath.Glob(filepath.Join(wantDir, "shard-*.aqsc"))
-	if err != nil {
-		return err
-	}
-	got, err := filepath.Glob(filepath.Join(gotDir, "shard-*.aqsc"))
-	if err != nil {
-		return err
-	}
-	if len(got) != len(want) {
-		return fmt.Errorf("%d shards, want %d", len(got), len(want))
-	}
-	for _, wp := range want {
-		gp := filepath.Join(gotDir, filepath.Base(wp))
-		wb, err := os.ReadFile(wp)
-		if err != nil {
-			return err
-		}
-		gb, err := os.ReadFile(gp)
-		if err != nil {
-			return err
-		}
-		if !bytes.Equal(gb, wb) {
-			return fmt.Errorf("shard %s bytes diverge", filepath.Base(wp))
-		}
-	}
-	return nil
 }

@@ -198,6 +198,66 @@ func TestGenerateCorpusResumeByteIdentical(t *testing.T) {
 	}
 }
 
+// TestGenerateShardRangeSplitMatchesCorpus pins the split-generation
+// path: two disjoint GenerateShardRange calls into separate directories
+// (as two hosts would run them), copied into one directory, form a
+// corpus OpenCorpus accepts and that is byte-identical to GenerateCorpus
+// at the same seed. A range outside the plan is refused.
+func TestGenerateShardRangeSplitMatchesCorpus(t *testing.T) {
+	f := testNetFactory(t)
+	const count, seed = 40, 13
+	opt := CorpusOptions{ShardSamples: 10}
+	ctx := context.Background()
+
+	ref := t.TempDir()
+	if _, err := f.GenerateCorpus(ctx, count, seed, ref, opt); err != nil {
+		t.Fatalf("reference GenerateCorpus: %v", err)
+	}
+	plan, err := f.PlanCorpus(count, seed, opt)
+	if err != nil {
+		t.Fatalf("PlanCorpus: %v", err)
+	}
+	if plan.ShardCount != 4 {
+		t.Fatalf("plan has %d shards, want 4", plan.ShardCount)
+	}
+
+	merged := t.TempDir()
+	for _, r := range [][2]int{{0, 1}, {1, 4}} {
+		part := t.TempDir()
+		res, err := f.GenerateShardRange(ctx, plan, r[0], r[1], part, 0)
+		if err != nil {
+			t.Fatalf("GenerateShardRange [%d,%d): %v", r[0], r[1], err)
+		}
+		if res.ShardsWritten != r[1]-r[0] || res.ShardsResumed != 0 {
+			t.Fatalf("range [%d,%d): written %d resumed %d", r[0], r[1], res.ShardsWritten, res.ShardsResumed)
+		}
+		for name, b := range dirBytes(t, part) {
+			if err := os.WriteFile(filepath.Join(merged, name), b, 0o644); err != nil {
+				t.Fatalf("copy %s: %v", name, err)
+			}
+		}
+	}
+	r, err := OpenCorpus(merged)
+	if err != nil {
+		t.Fatalf("OpenCorpus on merged ranges: %v", err)
+	}
+	if err := r.Match(f); err != nil {
+		t.Fatalf("Match: %v", err)
+	}
+	sameShardSet(t, merged, ref)
+
+	for _, r := range [][2]int{{-1, 2}, {2, 5}, {2, 2}, {3, 1}} {
+		dir := t.TempDir()
+		_, err := f.GenerateShardRange(ctx, plan, r[0], r[1], dir, 0)
+		if err == nil || !strings.Contains(err.Error(), "outside plan of 4 shards") {
+			t.Fatalf("range [%d,%d) error = %v, want refusal outside the plan", r[0], r[1], err)
+		}
+		if got := dirBytes(t, dir); len(got) != 0 {
+			t.Fatalf("refused range [%d,%d) wrote %d shards", r[0], r[1], len(got))
+		}
+	}
+}
+
 // TestGenerateCorpusRefusesDirtyDir pins the non-resume guard: writing
 // into a directory that already holds shards requires explicit Resume.
 func TestGenerateCorpusRefusesDirtyDir(t *testing.T) {

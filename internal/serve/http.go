@@ -407,8 +407,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 // errorEnvelope is the uniform non-2xx body shape: every error answer
 // from the single-district and fleet handlers decodes as
-// {"code": "<machine-readable class>", "error": "<human message>"}. The
-// distributed-generation coordinator speaks the same envelope.
+// {"code": "<machine-readable class>", "error": "<human message>"}.
 type errorEnvelope struct {
 	Code  string `json:"code"`
 	Error string `json:"error"`

@@ -57,11 +57,6 @@ func TestMetricNameStability(t *testing.T) {
 		aquascale.CorpusOptions{ShardSamples: 8}); err != nil {
 		t.Fatalf("GenerateCorpus: %v", err)
 	}
-	// A coordinator/worker run binds the distgen_* instruments.
-	if _, err := aquascale.GenerateCorpusDistributed(context.Background(), factory, 20, 6, t.TempDir(),
-		aquascale.DistGenOptions{ShardSamples: 8, Workers: 2}); err != nil {
-		t.Fatalf("GenerateCorpusDistributed: %v", err)
-	}
 	corpus, err := aquascale.OpenCorpus(corpusDir)
 	if err != nil {
 		t.Fatalf("OpenCorpus: %v", err)
@@ -131,12 +126,6 @@ func TestMetricNameStability(t *testing.T) {
 		"dataset_session_reuse_total",
 		"dataset_sessions_opened_total",
 		"dataset_skipped_total",
-		"distgen_leases_expired_total",
-		"distgen_merge_seconds",
-		"distgen_ranges_dispatched_total",
-		"distgen_ranges_reassigned_total",
-		"distgen_shards_staged_total",
-		"distgen_workers_joined_total",
 		"faults_forced_nonconvergence_total",
 		"faults_request_failed_total",
 		"faults_request_slow_total",
