@@ -361,8 +361,9 @@ type (
 	CorpusSample = dataset.CorpusSample
 	// ShardHeader is the decoded metadata of one corpus shard.
 	ShardHeader = dataset.ShardHeader
-	// CorpusTrainOptions configures streaming training (label window,
-	// checkpoint path).
+	// CorpusTrainOptions configures streaming training: the junction
+	// window (columns fitted, and checkpointed, per batch) and the
+	// checkpoint path.
 	CorpusTrainOptions = core.CorpusTrainOptions
 )
 

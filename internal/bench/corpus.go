@@ -122,7 +122,7 @@ func CorpusThroughput(scale Scale) (*Figure, error) {
 	})
 	fig.Notes = append(fig.Notes,
 		"streamed profile bitwise-identical to the in-memory profile at the same seed (also pinned by TestTrainFromCorpusBitIdentical)",
-		"streamed training re-reads the corpus once per junction window, holding O(shard) resident — corpus size no longer bounds trainable scale",
+		"streamed training reads the corpus once, holding X plus one label bit per junction and sample resident — corpus size no longer bounds trainable scale",
 		"generation throughput is solver-bound; the shard writer adds CRC-32C and one fsync+rename per shard",
 	)
 	return fig, nil

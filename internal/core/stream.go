@@ -1,18 +1,18 @@
 // Streaming Phase-I training: fit the per-junction profile from an
-// on-disk corpus instead of a materialized *dataset.Dataset, with a
-// bounded resident window and an incremental checkpoint so a killed
-// training run resumes past completed junctions.
+// on-disk corpus instead of a materialized *dataset.Dataset, with an
+// incremental checkpoint so a killed training run resumes past completed
+// junctions.
 //
-// Resident memory is the feature matrix X (materialized once — every
-// batch classifier needs all rows) and its shared preprocessing, plus
-// one junction *window* of label columns (default 64); the full label
-// matrix — the term that grows with network size — is never resident.
-// Each window re-streams the corpus for its label columns and fits them
-// with mlearn.FitColumns, the column loop MultiOutput.Fit runs, over one
-// prepared matrix shared by every window; the fitted models are
-// appended to the checkpoint. The assembled profile is therefore
-// bit-identical to TrainProfile over the equivalent in-memory dataset —
-// the project's standing invariant, pinned by test on EPA-NET and WSSC.
+// One pass over the corpus fills the feature matrix X (every batch
+// classifier needs all rows) and a packed label bitset, J bits per
+// sample for J junction columns. The label matrix as []int rows is
+// never resident: each column is unpacked from the bits when a fitting
+// worker takes it. Columns are fitted with mlearn.FitColumns, the column
+// loop MultiOutput.Fit runs, over one prepared matrix, a junction
+// window at a time; each window's models are appended to the checkpoint
+// and fsynced. The assembled profile is therefore bit-identical to
+// TrainProfile over the equivalent in-memory dataset — the project's
+// standing invariant, pinned by test on EPA-NET and WSSC.
 package core
 
 import (
@@ -38,9 +38,11 @@ var ErrCheckpointMismatch = errors.New("core: training checkpoint does not match
 
 // CorpusTrainOptions tunes TrainProfileFromCorpus.
 type CorpusTrainOptions struct {
-	// JunctionWindow is the number of junction label columns resident
-	// (and fitted) at a time. Zero means 64. The window only bounds
-	// memory; fitted models are identical for any window size.
+	// JunctionWindow is the number of junction columns fitted per
+	// FitColumns batch, and so the number of models appended to the
+	// checkpoint between fsyncs. Zero means 64. It does not bound memory
+	// (the corpus is read once, every label as one bit), and fitted
+	// models are identical for any window size.
 	JunctionWindow int
 
 	// CheckpointPath, when set, appends each fitted per-junction model
@@ -119,8 +121,8 @@ func TrainProfileFromCorpus(ctx context.Context, r *dataset.CorpusReader, nodeCo
 }
 
 // trainCorpusWindows fits label columns [fitted, len(models)) in
-// junction windows, streaming the corpus once per window for its label
-// columns. models[0:fitted] must already hold checkpointed classifiers.
+// junction windows after one corpus pass. models[0:fitted] must already
+// hold checkpointed classifiers.
 func trainCorpusWindows(ctx context.Context, r *dataset.CorpusReader, cfg ProfileConfig, models []mlearn.Classifier, fitted, window int, ck *checkpoint) error {
 	outputs := len(models)
 	if fitted >= outputs {
@@ -128,19 +130,29 @@ func trainCorpusWindows(ctx context.Context, r *dataset.CorpusReader, cfg Profil
 	}
 	samples := r.SampleCount()
 	featDim := r.FeatureDim()
+	reg := telemetry.Default()
+	readSeconds := reg.Histogram("core_corpus_window_read_seconds", telemetry.ExpBuckets(1e-3, 2, 18))
+	fitSeconds := reg.Histogram("core_corpus_window_fit_seconds", telemetry.ExpBuckets(1e-3, 2, 18))
 
-	// X is materialized once; every batch classifier needs all rows, so
-	// it is the floor of the resident window. Rows share one backing
-	// array to keep the allocation count flat.
+	// The one corpus pass: X's rows share one backing array to keep the
+	// allocation count flat, and each sample's label bits are copied
+	// out of the reader's borrowed buffer, stride ⌈J/8⌉ bytes per row.
+	stride := (outputs + 7) / 8
 	x := make([][]float64, samples)
 	flat := make([]float64, samples*featDim)
+	bits := make([]byte, 0, samples*stride)
 	row := 0
+	start := time.Now()
 	err := r.Each(ctx, func(s *dataset.CorpusSample) error {
 		if row >= samples {
 			return fmt.Errorf("core: corpus yielded more than its declared %d samples", samples)
 		}
+		if s.LabelCount() != outputs {
+			return fmt.Errorf("core: corpus sample %d has %d label columns, want %d", s.Index, s.LabelCount(), outputs)
+		}
 		x[row] = flat[row*featDim : (row+1)*featDim]
 		copy(x[row], s.Features)
+		bits = s.AppendLabelBits(bits)
 		row++
 		return nil
 	})
@@ -150,47 +162,27 @@ func trainCorpusWindows(ctx context.Context, r *dataset.CorpusReader, cfg Profil
 	if row != samples {
 		return fmt.Errorf("core: corpus yielded %d samples, declared %d", row, samples)
 	}
+	readSeconds.ObserveDuration(time.Since(start))
 
 	factory := techniqueFactory(cfg.Technique)
-
 	// One prepared matrix serves every window, so binning and scaling
-	// happen once per training run.
+	// happen once per training run; the first window's fit time
+	// includes them.
 	px := mlearn.Prepare(x)
-	colsFlat := make([]int, window*samples)
-	// Per window: the corpus pass for its label columns, then its fits.
-	// Fit time includes the shared preprocessing the first window builds.
-	reg := telemetry.Default()
-	readSeconds := reg.Histogram("core_corpus_window_read_seconds", telemetry.ExpBuckets(1e-3, 2, 18))
-	fitSeconds := reg.Histogram("core_corpus_window_fit_seconds", telemetry.ExpBuckets(1e-3, 2, 18))
-	for lo := fitted; lo < outputs; {
-		hi := lo + window
-		if hi > outputs {
-			hi = outputs
+	// FitColumns derives each column's seed from its index alone, so
+	// the streamed profile is bit-identical to the in-memory one.
+	column := func(v int, dst []int) {
+		b, shift := v>>3, uint(v&7)
+		for i := range dst {
+			dst[i] = int(bits[i*stride+b]>>shift) & 1
 		}
+	}
+	for lo := fitted; lo < outputs; {
+		hi := min(lo+window, outputs)
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		// One pass over the corpus fills this window's label columns.
 		start := time.Now()
-		row = 0
-		err := r.Each(ctx, func(s *dataset.CorpusSample) error {
-			for v := lo; v < hi; v++ {
-				colsFlat[(v-lo)*samples+row] = s.Label(v)
-			}
-			row++
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		readSeconds.ObserveDuration(time.Since(start))
-
-		// FitColumns derives each column's seed from its index alone, so
-		// the streamed profile is bit-identical to the in-memory one.
-		column := func(v int, dst []int) {
-			copy(dst, colsFlat[(v-lo)*samples:(v-lo+1)*samples])
-		}
-		start = time.Now()
 		if err := mlearn.FitColumns(ctx, px, factory, cfg.Seed, lo, hi, column, models); err != nil {
 			return fmt.Errorf("core: profile training: %w", err)
 		}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -367,7 +368,8 @@ func TestCheckpointOverlongFrameAllocation(t *testing.T) {
 }
 
 // TestTrainFromCorpusWindowMetrics pins the streamed-training
-// instruments: one read and one fit observation per junction window.
+// instruments: one read observation per run (the single corpus pass)
+// and one fit observation per junction window.
 func TestTrainFromCorpusWindowMetrics(t *testing.T) {
 	_, r := corpusFixture(t, 20, 13)
 	net := network.BuildTestNet()
@@ -380,13 +382,70 @@ func TestTrainFromCorpusWindowMetrics(t *testing.T) {
 	}
 	windows := int64((len(r.Junctions()) + window - 1) / window)
 	snap := reg.Snapshot()
-	for _, name := range []string{"core_corpus_window_read_seconds", "core_corpus_window_fit_seconds"} {
+	for name, want := range map[string]int64{
+		"core_corpus_window_read_seconds": 1,
+		"core_corpus_window_fit_seconds":  windows,
+	} {
 		h, ok := snap.Histograms[name]
 		if !ok {
 			t.Fatalf("%s not bound", name)
 		}
-		if h.Count != windows {
-			t.Errorf("%s counted %d windows, want %d", name, h.Count, windows)
+		if h.Count != want {
+			t.Errorf("%s counted %d observations, want %d", name, h.Count, want)
 		}
+	}
+}
+
+// TestTrainFromCorpusReadsOnce pins streamed training to one corpus
+// pass: a run raises corpus_samples_read_total by exactly the corpus's
+// sample count, whatever the junction window, and so does a run resumed
+// from a checkpoint that holds some of the columns.
+func TestTrainFromCorpusReadsOnce(t *testing.T) {
+	reg := telemetry.Enable()
+	defer telemetry.Disable()
+	// EPA-NET's 91 junctions make windows 2 and 10 split the columns
+	// and 64 leave a short last window.
+	net := network.BuildEPANet()
+	dir := t.TempDir()
+	if _, err := testFactory(t, net).GenerateCorpus(context.Background(), 20, 13, dir,
+		dataset.CorpusOptions{ShardSamples: 8}); err != nil {
+		t.Fatalf("GenerateCorpus: %v", err)
+	}
+	r, err := dataset.OpenCorpus(dir)
+	if err != nil {
+		t.Fatalf("OpenCorpus: %v", err)
+	}
+	cfg := ProfileConfig{Technique: TechniqueLinear, Seed: 1}
+	read := reg.Counter("corpus_samples_read_total")
+	want := int64(r.SampleCount())
+	train := func(name string, opt CorpusTrainOptions) {
+		t.Helper()
+		before := read.Value()
+		if _, err := TrainProfileFromCorpus(context.Background(), r, len(net.Nodes), cfg, opt); err != nil {
+			t.Fatalf("%s: TrainProfileFromCorpus: %v", name, err)
+		}
+		if got := read.Value() - before; got != want {
+			t.Errorf("%s: read %d samples, want one pass of %d", name, got, want)
+		}
+	}
+	for _, window := range []int{2, 10, 64} {
+		train(fmt.Sprintf("window %d", window), CorpusTrainOptions{JunctionWindow: window})
+	}
+
+	ckpt := filepath.Join(t.TempDir(), "train.ckpt")
+	opt := CorpusTrainOptions{JunctionWindow: 2, CheckpointPath: ckpt}
+	train("checkpointed", opt)
+	complete, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatalf("read checkpoint: %v", err)
+	}
+	if err := os.WriteFile(ckpt, complete[:len(complete)/2], 0o644); err != nil {
+		t.Fatalf("truncate checkpoint: %v", err)
+	}
+	loads := reg.Counter("core_checkpoint_loads_total")
+	loaded := loads.Value()
+	train("resumed", opt)
+	if loads.Value() == loaded {
+		t.Fatal("the resumed run loaded no checkpointed column")
 	}
 }

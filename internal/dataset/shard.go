@@ -405,6 +405,12 @@ func (s *CorpusSample) Label(col int) int {
 	return int(s.labels[col>>3]>>(col&7)) & 1
 }
 
+// AppendLabelBits appends the sample's packed label bitset to dst and
+// returns the extended slice: ⌈LabelCount/8⌉ bytes, column c at bit c&7
+// of byte c>>3, as the shard record stores it. The appended copy stays
+// valid after the callback returns.
+func (s *CorpusSample) AppendLabelBits(dst []byte) []byte { return append(dst, s.labels...) }
+
 // Labels expands the bitset into dst (allocated when nil or short) and
 // returns it — the same []int shape dataset.Sample.Labels carries.
 func (s *CorpusSample) Labels(dst []int) []int {

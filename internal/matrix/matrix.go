@@ -151,6 +151,17 @@ func NewCholesky(a *Dense) (*Cholesky, error) {
 // allocated, which keeps repeated Newton-iteration factorizations off the
 // garbage collector. Only the lower triangle of a is read. On error the
 // factor is invalid and must be refactorized before the next Solve.
+//
+// Every entry is the row-major Cholesky–Crout recurrence
+//
+//	L[i][j] = (A[i][j] − Σ_{k<j} L[i][k]·L[j][k]) / L[j][j]
+//
+// with its sum taken in increasing k, so the factor is the same bits as
+// a row-by-row loop. Rows go in blocks of four: a block's entries left
+// of its 4×4 diagonal block need only finished rows, so they run as four
+// independent subtract chains that share each load of row j instead of
+// one latency-bound chain at a time. The diagonal block and the last
+// n mod 4 rows take the plain row loop.
 func (c *Cholesky) Refactorize(a *Dense) error {
 	if a.rows != a.cols {
 		return fmt.Errorf("matrix: Cholesky of non-square %dx%d matrix", a.rows, a.cols)
@@ -161,22 +172,55 @@ func (c *Cholesky) Refactorize(a *Dense) error {
 		c.l = make([]float64, n*n)
 	}
 	l := c.l
-	for i := 0; i < n; i++ {
-		ai, li := a.data[i*n:(i+1)*n], l[i*n:(i+1)*n]
-		for j := 0; j <= i; j++ {
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		a0, a1, a2, a3 := a.data[i*n:(i+1)*n], a.data[(i+1)*n:(i+2)*n], a.data[(i+2)*n:(i+3)*n], a.data[(i+3)*n:(i+4)*n]
+		l0, l1, l2, l3 := l[i*n:(i+1)*n], l[(i+1)*n:(i+2)*n], l[(i+2)*n:(i+3)*n], l[(i+3)*n:(i+4)*n]
+		for j := 0; j < i; j++ {
 			lj := l[j*n : j*n+j]
-			sum := ai[j]
+			r0, r1, r2, r3 := l0[:len(lj)], l1[:len(lj)], l2[:len(lj)], l3[:len(lj)]
+			s0, s1, s2, s3 := a0[j], a1[j], a2[j], a3[j]
 			for k, v := range lj {
-				sum -= li[k] * v
+				s0 -= r0[k] * v
+				s1 -= r1[k] * v
+				s2 -= r2[k] * v
+				s3 -= r3[k] * v
 			}
-			if i == j {
-				if sum <= 0 {
-					return ErrNotPositiveDefinite
-				}
-				li[j] = math.Sqrt(sum)
-			} else {
-				li[j] = sum / l[j*n+j]
+			d := l[j*n+j]
+			l0[j], l1[j], l2[j], l3[j] = s0/d, s1/d, s2/d, s3/d
+		}
+		for r := i; r < i+4; r++ {
+			if err := c.factorRow(a, r, i); err != nil {
+				return err
 			}
+		}
+	}
+	for ; i < n; i++ {
+		if err := c.factorRow(a, i, 0); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// factorRow computes row i of the factor from column j0 through the
+// diagonal; entries left of j0 must already be in place.
+func (c *Cholesky) factorRow(a *Dense, i, j0 int) error {
+	n, l := c.n, c.l
+	ai, li := a.data[i*n:(i+1)*n], l[i*n:(i+1)*n]
+	for j := j0; j <= i; j++ {
+		lj := l[j*n : j*n+j]
+		sum := ai[j]
+		for k, v := range lj {
+			sum -= li[k] * v
+		}
+		if i == j {
+			if sum <= 0 {
+				return ErrNotPositiveDefinite
+			}
+			li[j] = math.Sqrt(sum)
+		} else {
+			li[j] = sum / l[j*n+j]
 		}
 	}
 	return nil
@@ -197,22 +241,24 @@ func (c *Cholesky) SolveTo(dst, b []float64) error {
 	if len(b) != c.n || len(dst) != c.n {
 		return fmt.Errorf("matrix: Cholesky solve dimension mismatch: %d/%d vs %d", len(dst), len(b), c.n)
 	}
-	n := c.n
+	n, l := c.n, c.l
 	x := dst
 	copy(x, b)
 	// Forward substitution: L·y = b.
 	for i := 0; i < n; i++ {
-		for k := 0; k < i; k++ {
-			x[i] -= c.l[i*n+k] * x[k]
+		s := x[i]
+		for k, v := range l[i*n : i*n+i] {
+			s -= v * x[k]
 		}
-		x[i] /= c.l[i*n+i]
+		x[i] = s / l[i*n+i]
 	}
 	// Back substitution: Lᵀ·x = y.
 	for i := n - 1; i >= 0; i-- {
+		s := x[i]
 		for k := i + 1; k < n; k++ {
-			x[i] -= c.l[k*n+i] * x[k]
+			s -= l[k*n+i] * x[k]
 		}
-		x[i] /= c.l[i*n+i]
+		x[i] = s / l[i*n+i]
 	}
 	return nil
 }

@@ -117,25 +117,33 @@ func (m *LinearRegression) fitPrepared(px *Prepared, y []int, ws *workspace) err
 	k := d + 1
 	var g []float64
 	m.scale, g = px.gramMatrix()
-	cw := classWeights(y)
-	var counts [2]int
-	for _, v := range y {
-		counts[v]++
+
+	// One pass over y counts the classes and collects the positive rows,
+	// the minority in almost every leak column. A column whose negatives
+	// are fewer (a node leaking in most samples) takes a second pass for
+	// them. The minority class is the positives on a tie.
+	ws.minor = ws.minor[:0]
+	for i, v := range y {
+		if v == 1 {
+			ws.minor = append(ws.minor, i)
+		}
 	}
+	counts := [2]int{len(y) - len(ws.minor), len(ws.minor)}
+	cw := balancedWeights(counts)
 	minor := 1
 	if counts[0] < counts[1] {
 		minor = 0
+		ws.minor = ws.minor[:0]
+		for i, v := range y {
+			if v == 0 {
+				ws.minor = append(ws.minor, i)
+			}
+		}
 	}
 	wMajor, c := cw[1-minor], cw[minor]-cw[1-minor]
 
 	// Gather the minority rows, standardized exactly as G's columns
 	// were, column-major: feature p of minority row t is rows[p·r+t].
-	ws.minor = ws.minor[:0]
-	for i, v := range y {
-		if v == minor {
-			ws.minor = append(ws.minor, i)
-		}
-	}
 	r := len(ws.minor)
 	ws.rows = slices.Grow(ws.rows[:0], k*r)
 	rows := ws.rows[:k*r]
@@ -153,9 +161,26 @@ func (m *LinearRegression) fitPrepared(px *Prepared, y []int, ws *workspace) err
 		ws.a, ws.b = matrix.NewDense(k, k), make([]float64, k)
 	}
 	ridge := m.cfg.Lambda * float64(len(y))
+	// Entry (p, q) is wMajor·G[p][q] + c·Σ_t rows[p][t]·rows[q][t], the
+	// sum in t order; four q run side by side, sharing each load of row p.
 	for p := 0; p < k; p++ {
 		rp, ap, gp := rows[p*r:(p+1)*r], ws.a.Row(p), g[p*k:(p+1)*k]
-		for q := 0; q <= p; q++ {
+		q := 0
+		for ; q+4 <= p+1; q += 4 {
+			r0, r1, r2, r3 := rows[q*r:q*r+len(rp)], rows[(q+1)*r:(q+1)*r+len(rp)], rows[(q+2)*r:(q+2)*r+len(rp)], rows[(q+3)*r:(q+3)*r+len(rp)]
+			s0, s1, s2, s3 := 0.0, 0.0, 0.0, 0.0
+			for t, v := range rp {
+				s0 += v * r0[t]
+				s1 += v * r1[t]
+				s2 += v * r2[t]
+				s3 += v * r3[t]
+			}
+			ap[q] = wMajor*gp[q] + c*s0
+			ap[q+1] = wMajor*gp[q+1] + c*s1
+			ap[q+2] = wMajor*gp[q+2] + c*s2
+			ap[q+3] = wMajor*gp[q+3] + c*s3
+		}
+		for ; q <= p; q++ {
 			rq := rows[q*r : (q+1)*r]
 			s := 0.0
 			for t, v := range rp {

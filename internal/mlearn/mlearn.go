@@ -111,7 +111,12 @@ func classWeights(y []int) [2]float64 {
 	for _, v := range y {
 		counts[v]++
 	}
-	n := float64(len(y))
+	return balancedWeights(counts)
+}
+
+// balancedWeights is classWeights from the class counts.
+func balancedWeights(counts [2]int) [2]float64 {
+	n := float64(counts[0] + counts[1])
 	var w [2]float64
 	for c := 0; c < 2; c++ {
 		if counts[c] == 0 {

@@ -30,6 +30,7 @@ import (
 	"log/slog"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -158,6 +159,10 @@ var ErrDraining = fmt.Errorf("serve: server draining")
 // never submitted (HTTP 404).
 var ErrEvicted = fmt.Errorf("serve: job result evicted")
 
+// errJobPanicked fails a job whose run panicked. Clients see it as HTTP
+// 500 {"code":"internal"}; the stack goes only to the log and the trace.
+var errJobPanicked = fmt.Errorf("serve: internal error: job panicked")
+
 // SubmitError wraps a submission refusal together with the trace id
 // minted for the rejected request, so error responses can still carry
 // X-Trace-Id and the refusal is findable in the flight recorder. Unwrap
@@ -279,6 +284,7 @@ type serveMetrics struct {
 	rejectedDrain  *telemetry.Counter
 	jobsDone       *telemetry.Counter
 	jobsFailed     *telemetry.Counter
+	jobsPanicked   *telemetry.Counter
 	profileSwaps   *telemetry.Counter
 	queueDepth     *telemetry.Gauge
 	inflight       *telemetry.Gauge
@@ -300,6 +306,7 @@ func bindServeMetrics(district string) serveMetrics {
 		rejectedDrain:  reg.Counter(name("serve_rejected_draining_total")),
 		jobsDone:       reg.Counter(name("serve_jobs_done_total")),
 		jobsFailed:     reg.Counter(name("serve_jobs_failed_total")),
+		jobsPanicked:   reg.Counter(name("serve_jobs_panicked_total")),
 		profileSwaps:   reg.Counter(name("serve_profile_swaps_total")),
 		queueDepth:     reg.Gauge(name("serve_queue_depth")),
 		inflight:       reg.Gauge(name("serve_inflight_jobs")),
@@ -546,6 +553,13 @@ func (s *Server) isDraining() bool {
 
 // run executes one job under the request deadline.
 func (s *Server) run(j *Job) {
+	// A panic anywhere in the job fails that job alone: the worker lives
+	// on to run the next one, and sibling districts never see it.
+	defer func() {
+		if v := recover(); v != nil {
+			s.recoverJob(j, v, debug.Stack())
+		}
+	}()
 	j.setRunning()
 	j.trace.EventValue(telemetry.StageQueueWait, time.Since(j.enqueued).Seconds())
 	s.running.Add(1)
@@ -621,6 +635,24 @@ func (s *Server) run(j *Job) {
 		HumanAdded:     added,
 		LatencySeconds: time.Since(j.enqueued).Seconds(),
 	}, nil)
+}
+
+// recoverJob counts and logs a panic in j's run, records its stack in
+// the job's trace, and fails the job unless it had already finished
+// (a panic after finishJob), so a job fails at most once.
+func (s *Server) recoverJob(j *Job, v any, stack []byte) {
+	s.met.jobsPanicked.Inc()
+	if s.log != nil {
+		s.log.Error("job panicked",
+			telemetry.TraceAttr(j.trace.ID()),
+			slog.String("job", j.id),
+			slog.String("panic", fmt.Sprint(v)),
+			slog.String("stack", string(stack)))
+	}
+	j.trace.EventDetail(telemetry.StageError, 0, fmt.Sprintf("panic: %v\n%s", v, stack))
+	if state, _, _ := j.Status(); state == JobRunning {
+		s.finishJob(j, nil, fmt.Errorf("%w: %v", errJobPanicked, v))
+	}
 }
 
 // finishJob records a job's metrics and trace, completes or fails it,

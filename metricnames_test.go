@@ -153,6 +153,7 @@ func TestMetricNameStability(t *testing.T) {
 		"serve_inflight_jobs",
 		"serve_jobs_done_total",
 		"serve_jobs_failed_total",
+		"serve_jobs_panicked_total",
 		"serve_jobs_submitted_total",
 		"serve_profile_swaps_total",
 		"serve_queue_depth",
