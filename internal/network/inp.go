@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
 )
 
 // This file implements a reader and writer for a practical subset of the
@@ -37,17 +38,20 @@ type inpParser struct {
 	section string
 	lineNo  int
 
-	// Link endpoints are recorded by id and resolved after all node
-	// sections are read, since INP allows links before nodes.
+	// Links go into net.Links as they are read, but their endpoints are
+	// recorded by id (pendingLinks[i] for net.Links[i]) and resolved
+	// after all node sections are read, since INP allows links before
+	// nodes.
 	pendingLinks []pendingLink
 	statuses     map[string]LinkStatus
 	coords       map[string][2]float64
 	patternAccum map[string][]float64
+
+	fields []string // the current line's fields, reused across lines
 }
 
 type pendingLink struct {
 	line int
-	link Link
 	from string
 	to   string
 }
@@ -80,7 +84,8 @@ func ReadINP(r io.Reader) (*Network, error) {
 			p.section = strings.ToUpper(strings.TrimSpace(line[1:end]))
 			continue
 		}
-		if err := p.handleLine(line); err != nil {
+		p.fields = appendFields(p.fields[:0], line)
+		if err := p.handleLine(line, p.fields); err != nil {
 			return nil, err
 		}
 	}
@@ -97,8 +102,55 @@ func (p *inpParser) errf(format string, args ...interface{}) error {
 	return &ParseINPError{Line: p.lineNo, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (p *inpParser) handleLine(line string) error {
-	f := strings.Fields(line)
+// appendFields appends the fields of s to dst, split as strings.Fields
+// splits them (around runs of unicode.IsSpace), without allocating a
+// new slice per line.
+func appendFields(dst []string, s string) []string {
+	start := -1
+	for i, r := range s {
+		switch {
+		case !unicode.IsSpace(r):
+			if start < 0 {
+				start = i
+			}
+		case start >= 0:
+			dst = append(dst, s[start:i])
+			start = -1
+		}
+	}
+	if start >= 0 {
+		dst = append(dst, s[start:])
+	}
+	return dst
+}
+
+// reserve returns s with room for one more element, doubling its
+// capacity when full. append grows a long slice by 1.25×, which over a
+// large section allocates about five times the final size; doubling
+// keeps that under four.
+func reserve[T any](s []T) []T {
+	if len(s) < cap(s) {
+		return s
+	}
+	return append(make([]T, 0, 2*cap(s)+16), s...)
+}
+
+// addNode adds a node, growing Nodes by doubling.
+func (p *inpParser) addNode(node Node) error {
+	p.net.Nodes = reserve(p.net.Nodes)
+	if _, err := p.net.AddNode(node); err != nil {
+		return p.errf("%v", err)
+	}
+	return nil
+}
+
+// addLink records a link read before its endpoints are known.
+func (p *inpParser) addLink(link Link, from, to string) {
+	p.net.Links = append(reserve(p.net.Links), link)
+	p.pendingLinks = append(reserve(p.pendingLinks), pendingLink{line: p.lineNo, from: from, to: to})
+}
+
+func (p *inpParser) handleLine(line string, f []string) error {
 	switch p.section {
 	case "TITLE":
 		if p.net.Name == "" {
@@ -160,10 +212,7 @@ func (p *inpParser) parseJunction(f []string) error {
 	if len(f) >= 4 {
 		node.PatternID = f[3]
 	}
-	if _, err := p.net.AddNode(node); err != nil {
-		return p.errf("%v", err)
-	}
-	return nil
+	return p.addNode(node)
 }
 
 func (p *inpParser) parseReservoir(f []string) error {
@@ -175,10 +224,7 @@ func (p *inpParser) parseReservoir(f []string) error {
 	if err != nil {
 		return err
 	}
-	if _, err := p.net.AddNode(Node{ID: f[0], Type: Reservoir, Elevation: head}); err != nil {
-		return p.errf("%v", err)
-	}
-	return nil
+	return p.addNode(Node{ID: f[0], Type: Reservoir, Elevation: head})
 }
 
 func (p *inpParser) parseTank(f []string) error {
@@ -194,14 +240,11 @@ func (p *inpParser) parseTank(f []string) error {
 		}
 		vals[i] = v
 	}
-	if _, err := p.net.AddNode(Node{
+	return p.addNode(Node{
 		ID: f[0], Type: Tank,
 		Elevation: vals[0], InitLevel: vals[1], MinLevel: vals[2],
 		MaxLevel: vals[3], TankDiameter: vals[4],
-	}); err != nil {
-		return p.errf("%v", err)
-	}
-	return nil
+	})
 }
 
 func (p *inpParser) parsePipe(f []string) error {
@@ -235,7 +278,7 @@ func (p *inpParser) parsePipe(f []string) error {
 	if len(f) >= 8 && strings.EqualFold(f[7], "closed") {
 		link.Status = Closed
 	}
-	p.pendingLinks = append(p.pendingLinks, pendingLink{line: p.lineNo, link: link, from: f[1], to: f[2]})
+	p.addLink(link, f[1], f[2])
 	return nil
 }
 
@@ -261,7 +304,7 @@ func (p *inpParser) parsePump(f []string) error {
 			return p.errf("unknown pump keyword %q", f[i])
 		}
 	}
-	p.pendingLinks = append(p.pendingLinks, pendingLink{line: p.lineNo, link: link, from: f[1], to: f[2]})
+	p.addLink(link, f[1], f[2])
 	return nil
 }
 
@@ -282,7 +325,7 @@ func (p *inpParser) parseValve(f []string) error {
 		ID: f[0], Type: Valve,
 		Diameter: diam / 1000.0, MinorLoss: setting, Length: 5,
 	}
-	p.pendingLinks = append(p.pendingLinks, pendingLink{line: p.lineNo, link: link, from: f[1], to: f[2]})
+	p.addLink(link, f[1], f[2])
 	return nil
 }
 
@@ -414,16 +457,22 @@ func (p *inpParser) finish() error {
 	for id, mult := range p.patternAccum {
 		p.net.Patterns[id] = Pattern{ID: id, Multipliers: mult}
 	}
-	for _, pl := range p.pendingLinks {
+	// Each link is re-added through AddLink, which checks it and indexes
+	// its id. AddLink appends at index len(p.net.Links) ≤ i, so it never
+	// overwrites a link not yet read.
+	links := p.net.Links
+	p.net.Links = links[:0]
+	p.net.linkIndex = make(map[string]int, len(links))
+	for i, pl := range p.pendingLinks {
+		link := links[i]
 		from, ok := p.net.NodeIndex(pl.from)
 		if !ok {
-			return &ParseINPError{Line: pl.line, Msg: fmt.Sprintf("link %q references unknown node %q", pl.link.ID, pl.from)}
+			return &ParseINPError{Line: pl.line, Msg: fmt.Sprintf("link %q references unknown node %q", link.ID, pl.from)}
 		}
 		to, ok := p.net.NodeIndex(pl.to)
 		if !ok {
-			return &ParseINPError{Line: pl.line, Msg: fmt.Sprintf("link %q references unknown node %q", pl.link.ID, pl.to)}
+			return &ParseINPError{Line: pl.line, Msg: fmt.Sprintf("link %q references unknown node %q", link.ID, pl.to)}
 		}
-		link := pl.link
 		link.From, link.To = from, to
 		if st, ok := p.statuses[link.ID]; ok {
 			link.Status = st

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -240,11 +241,9 @@ func accessLog(log *slog.Logger, next http.Handler) http.Handler {
 }
 
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
-	var req ObserveRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad request body: %w", err))
+	req, err := readObserveRequest(w, r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	if r.URL.Query().Get("wait") == "1" {
@@ -261,7 +260,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	}
 	if !req.Wait {
 		w.Header().Set("Location", "/v1/localize/"+j.ID())
-		writeJSON(w, http.StatusAccepted, jobResponse{Job: j.ID(), State: JobQueued})
+		writeJobResponse(w, http.StatusAccepted, &jobResponse{Job: j.ID(), State: JobQueued})
 		return
 	}
 	select {
@@ -370,7 +369,7 @@ func (s *Server) writeJob(w http.ResponseWriter, j *Job) {
 		}
 		resp.Code = errorCodeFor(code)
 	}
-	writeJSON(w, code, resp)
+	writeJobResponse(w, code, &resp)
 }
 
 // writeSubmitError maps Submit failures onto the documented status codes:
@@ -397,12 +396,20 @@ func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 	}
 }
 
+// writeJSON encodes v before writing the status, so a value that cannot
+// be encoded answers 500 with the error envelope rather than code with
+// an empty body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(v); err != nil {
+		writeError(w, http.StatusInternalServerError, fmt.Errorf("serve: encode response: %w", err))
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
+	_, _ = w.Write(buf.Bytes())
 }
 
 // errorEnvelope is the uniform non-2xx body shape: every error answer

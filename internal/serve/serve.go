@@ -15,8 +15,9 @@
 //     refuses with ErrQueueFull (HTTP 429 + Retry-After) instead of
 //     queueing unboundedly — latency stays flat under overload and the
 //     process cannot OOM on a traffic spike.
-//   - Every job carries its own rng (seeded per request), used only by
-//     the fault injector's degradation draws. Localization itself is
+//   - Every job carries its own rng seed, used only by the fault
+//     injector's request degradation draws (the rng is built only when
+//     a request fault channel is on). Localization itself is
 //     deterministic: a served result is bit-identical to calling
 //     System.Localize offline with the same observation.
 //   - Shutdown drains: new submissions are refused, jobs already running
@@ -580,9 +581,13 @@ func (s *Server) run(j *Job) {
 	ctx = telemetry.ContextWithTrace(ctx, j.trace)
 
 	// Per-request rng isolation: the only stochastic element of serving
-	// is fault injection, drawn from this job's own stream.
-	rng := rand.New(rand.NewSource(j.seed))
-	delay, injErr := s.inj.RequestPlan(rng)
+	// is request fault injection, drawn from this job's own stream. The
+	// stream is built only when a request fault channel is on.
+	var delay time.Duration
+	var injErr error
+	if f := s.cfg.Faults; f.RequestSlow > 0 || f.RequestFail > 0 {
+		delay, injErr = s.inj.RequestPlan(rand.New(rand.NewSource(j.seed)))
+	}
 	if delay > 0 {
 		j.trace.EventValue(telemetry.StageFaultDelay, delay.Seconds())
 		t := time.NewTimer(delay)
