@@ -114,9 +114,6 @@ const PressureSensor
 const Pump
 const Reservoir
 const ShardFormatVersion
-const SolverBackendAuto
-const SolverBackendDense
-const SolverBackendSparse
 const Tank
 const TechniqueGB
 const TechniqueHybridRSL
@@ -262,7 +259,6 @@ type ShardHeader
 type SkippedScenario
 type SocialConfig
 type Solver
-type SolverBackend
 type SolverOptions
 type Sources
 type System

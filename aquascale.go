@@ -121,7 +121,7 @@ func BuildTestNet() *Network { return network.BuildTestNet() }
 type GridConfig = network.GridConfig
 
 // BuildGrid builds a synthetic looped distribution grid of Rows×Cols
-// junctions — the scaling testbed for the sparse solver backend (1k–10k+
+// junctions — the scaling testbed for the sparse head solver (1k–10k+
 // junctions are practical sizes).
 func BuildGrid(cfg GridConfig) *Network { return network.BuildGrid(cfg) }
 
@@ -147,19 +147,6 @@ type (
 	EPSOptions = hydraulic.EPSOptions
 	// TimeSeries is extended-period simulation output.
 	TimeSeries = hydraulic.TimeSeries
-	// SolverBackend selects the linear-algebra backend for the Newton
-	// head system (auto, dense Cholesky, or reordered sparse LDLᵀ).
-	SolverBackend = hydraulic.Backend
-)
-
-// Linear-algebra backends for SolverOptions.Backend. Auto picks sparse at
-// DefaultSparseJunctions junctions and above; results agree across
-// backends to ~1e-8 relative and are bit-identical run to run for a fixed
-// backend.
-const (
-	SolverBackendAuto   = hydraulic.BackendAuto
-	SolverBackendDense  = hydraulic.BackendDense
-	SolverBackendSparse = hydraulic.BackendSparse
 )
 
 // NewSolver prepares a steady-state solver for a network.

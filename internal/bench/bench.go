@@ -255,9 +255,6 @@ func experiments() map[string]Runner {
 		"ablation-beta":      AblationEmitterExponent,
 		"ablation-dropout":   AblationSensorDropout,
 		"fault-tolerance":    FaultTolerance,
-		"solver-scaling":     SolverScaling,
-		"serving-latency":    ServingLatency,
-		"corpus-throughput":  CorpusThroughput,
 	}
 }
 
@@ -266,6 +263,6 @@ func ExperimentIDs() []string {
 	return []string{
 		"fig2", "fig3", "fig6", "fig7ab", "fig7c", "fig8", "fig9", "fig10", "fig11",
 		"ablation-placement", "ablation-bayes", "ablation-gamma", "ablation-beta", "ablation-dropout",
-		"fault-tolerance", "solver-scaling", "serving-latency", "corpus-throughput",
+		"fault-tolerance",
 	}
 }

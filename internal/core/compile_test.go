@@ -72,25 +72,41 @@ func oracleLocalize(t *testing.T, sys *System, obs Observation) (*fusion.Predict
 	return pred, added
 }
 
-// assertMatchesOracle localizes obs through sys and requires every
-// probability bit and every human-added node to match oracleLocalize.
+// assertMatchesOracle localizes obs through sys, both with Localize and
+// with LocalizeInto on a buffer left dirty by an earlier request, and
+// requires every probability bit and every human-added node to match
+// oracleLocalize.
 func assertMatchesOracle(t *testing.T, sys *System, obs Observation, label string) {
 	t.Helper()
 	got, gotAdded, err := sys.Localize(obs)
 	if err != nil {
 		t.Fatalf("%s: Localize: %v", label, err)
 	}
+	reused := &fusion.Prediction{Proba: make([]float64, len(got.Proba))}
+	for v := range reused.Proba {
+		reused.Proba[v] = math.NaN()
+	}
+	reusedAdded, err := sys.LocalizeInto(reused, obs)
+	if err != nil {
+		t.Fatalf("%s: LocalizeInto: %v", label, err)
+	}
 	want, wantAdded := oracleLocalize(t, sys, obs)
-	if len(got.Proba) != len(want.Proba) {
-		t.Fatalf("%s: proba length = %d, want %d", label, len(got.Proba), len(want.Proba))
-	}
-	for v := range want.Proba {
-		if math.Float64bits(got.Proba[v]) != math.Float64bits(want.Proba[v]) {
-			t.Fatalf("%s: node %d: compiled %v != oracle %v", label, v, got.Proba[v], want.Proba[v])
+	for _, c := range []struct {
+		name  string
+		pred  *fusion.Prediction
+		added []int
+	}{{"Localize", got, gotAdded}, {"LocalizeInto", reused, reusedAdded}} {
+		if len(c.pred.Proba) != len(want.Proba) {
+			t.Fatalf("%s: %s proba length = %d, want %d", label, c.name, len(c.pred.Proba), len(want.Proba))
 		}
-	}
-	if !reflect.DeepEqual(gotAdded, wantAdded) {
-		t.Fatalf("%s: human-added %v != oracle %v", label, gotAdded, wantAdded)
+		for v := range want.Proba {
+			if math.Float64bits(c.pred.Proba[v]) != math.Float64bits(want.Proba[v]) {
+				t.Fatalf("%s: %s node %d: compiled %v != oracle %v", label, c.name, v, c.pred.Proba[v], want.Proba[v])
+			}
+		}
+		if !reflect.DeepEqual(c.added, wantAdded) {
+			t.Fatalf("%s: %s human-added %v != oracle %v", label, c.name, c.added, wantAdded)
+		}
 	}
 }
 

@@ -559,7 +559,7 @@ func (c Config) Digest() uint64 {
 	f64(c.Leaks.MinSize)
 	f64(c.Leaks.MaxSize)
 	i64(int64(c.Leaks.Start / time.Nanosecond))
-	i64(int64(c.Solver.Backend))
+	i64(0) // was the solver backend (0 = auto, all any caller set); kept so existing digests still match
 	f64(c.Solver.Accuracy)
 	i64(int64(c.Solver.MaxIterations))
 	f64(c.Solver.EmitterExponent)

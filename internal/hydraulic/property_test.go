@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"github.com/aquascale/aquascale/internal/network"
 )
@@ -80,49 +81,100 @@ func TestSolverPropertyRandomNetworks(t *testing.T) {
 			t.Fatalf("trial %d (%d junctions): %v", trial, junctions, err)
 		}
 
-		// Invariant 1: junction mass balance.
-		if mbe := solver.MassBalanceError(res); mbe > 1e-6 {
-			t.Fatalf("trial %d: mass balance error %v", trial, mbe)
-		}
+		checkInvariants(t, fmt.Sprintf("trial %d", trial), solver, res, 1e-6)
+	}
+}
 
-		// Invariant 2: energy consistency — flow runs downhill in head
-		// across every open pipe.
-		for li := range net.Links {
-			l := &net.Links[li]
-			if l.Type != network.Pipe || l.Status == network.Closed {
-				continue
-			}
-			dh := res.Head[l.From] - res.Head[l.To]
-			q := res.Flow[li]
-			if math.Abs(q) < 1e-9 {
-				continue
-			}
-			if q > 0 && dh < -1e-6 {
-				t.Fatalf("trial %d: pipe %s flows uphill: q=%v dh=%v", trial, l.ID, q, dh)
-			}
-			if q < 0 && dh > 1e-6 {
-				t.Fatalf("trial %d: pipe %s flows uphill: q=%v dh=%v", trial, l.ID, q, dh)
-			}
+// checkInvariants asserts the hydraulic invariants every converged
+// steady solve must satisfy, within tol: junction mass balance, energy
+// consistency along every open pipe (flow runs downhill in head), and
+// net outflow from the fixed-grade sources equal to total consumption
+// (demand plus leak discharge).
+func checkInvariants(t *testing.T, label string, solver *Solver, res *Result, tol float64) {
+	t.Helper()
+	net := solver.Network()
+	if mbe := solver.MassBalanceError(res); mbe > tol {
+		t.Fatalf("%s: mass balance error %v", label, mbe)
+	}
+	for li := range net.Links {
+		l := &net.Links[li]
+		if l.Type != network.Pipe || l.Status == network.Closed {
+			continue
 		}
+		dh := res.Head[l.From] - res.Head[l.To]
+		q := res.Flow[li]
+		if math.Abs(q) < 1e-9 {
+			continue
+		}
+		if (q > 0 && dh < -tol) || (q < 0 && dh > tol) {
+			t.Fatalf("%s: pipe %s flows uphill: q=%v dh=%v", label, l.ID, q, dh)
+		}
+	}
+	var sourceOut float64
+	for li := range net.Links {
+		l := &net.Links[li]
+		if l.Status == network.Closed {
+			continue
+		}
+		if net.Nodes[l.From].Type != network.Junction {
+			sourceOut += res.Flow[li]
+		}
+		if net.Nodes[l.To].Type != network.Junction {
+			sourceOut -= res.Flow[li]
+		}
+	}
+	want := res.TotalEmitterFlow()
+	for i := range net.Nodes {
+		want += res.Demand[i]
+	}
+	if math.Abs(sourceOut-want) > tol {
+		t.Fatalf("%s: sources supply %v, consumption is %v", label, sourceOut, want)
+	}
+}
 
-		// Invariant 3: source outflow equals demand + leak.
-		var sourceOut float64
-		for li := range net.Links {
-			l := &net.Links[li]
-			if net.Nodes[l.From].Type == network.Reservoir {
-				sourceOut += res.Flow[li]
-			}
-			if net.Nodes[l.To].Type == network.Reservoir {
-				sourceOut -= res.Flow[li]
-			}
+// TestSolverInvariantsEPANet and TestSolverInvariantsWSSC run the
+// invariants on the two evaluation networks, tanks and pumps included,
+// with two active leaks each, at the random population's accuracy (the
+// default 1e-3 stops while a low-flow pipe's headloss can still disagree
+// in sign with its flow by ~1e-5 m).
+func TestSolverInvariantsEPANet(t *testing.T) {
+	solveAndCheck(t, network.BuildEPANet(), []Emitter{{Node: 17, Coeff: 0.0005}, {Node: 60, Coeff: 0.001}})
+}
+
+func TestSolverInvariantsWSSC(t *testing.T) {
+	solveAndCheck(t, network.BuildWSSCSubnet(), []Emitter{{Node: 42, Coeff: 0.0008}, {Node: 200, Coeff: 0.0004}})
+}
+
+func solveAndCheck(t *testing.T, net *network.Network, emitters []Emitter) {
+	t.Helper()
+	solver, err := NewSolver(net, Options{Accuracy: 1e-5})
+	if err != nil {
+		t.Fatalf("NewSolver: %v", err)
+	}
+	res, err := solver.SolveSteady(3*time.Hour, emitters, nil)
+	if err != nil {
+		t.Fatalf("SolveSteady: %v", err)
+	}
+	checkInvariants(t, net.Name, solver, res, 1e-6)
+}
+
+// TestSolverTinyNetworks covers the sizes below the random population's
+// floor of four junctions, plus the 7-junction test network: each must
+// solve with mass balance to round-off.
+func TestSolverTinyNetworks(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	nets := []*network.Network{randomNetwork(rng, 1), randomNetwork(rng, 2), randomNetwork(rng, 3), network.BuildTestNet()}
+	for _, net := range nets {
+		solver, err := NewSolver(net, Options{})
+		if err != nil {
+			t.Fatalf("%s: NewSolver: %v", net.Name, err)
 		}
-		want := 0.0
-		for i := range net.Nodes {
-			want += res.Demand[i]
+		res, err := solver.SolveSteady(0, nil, nil)
+		if err != nil {
+			t.Fatalf("%s (%d junctions): %v", net.Name, net.JunctionCount(), err)
 		}
-		want += res.TotalEmitterFlow()
-		if math.Abs(sourceOut-want) > 1e-6 {
-			t.Fatalf("trial %d: source supplies %v, consumption is %v", trial, sourceOut, want)
+		if mbe := solver.MassBalanceError(res); mbe > 1e-12 {
+			t.Fatalf("%s (%d junctions): mass balance error %v", net.Name, net.JunctionCount(), mbe)
 		}
 	}
 }

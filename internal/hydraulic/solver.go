@@ -51,37 +51,8 @@ func (e *ConvergenceError) Error() string {
 // Unwrap keeps errors.Is(err, ErrNotConverged) true.
 func (e *ConvergenceError) Unwrap() error { return ErrNotConverged }
 
-// Backend selects the linear-algebra backend for the junction head
-// system (see matrix.SPDSystem).
-type Backend int
-
-const (
-	// BackendAuto picks by junction count: dense below
-	// DefaultSparseJunctions, sparse at or above it.
-	BackendAuto Backend = iota
-
-	// BackendDense forces the dense Cholesky path.
-	BackendDense
-
-	// BackendSparse forces the reordered sparse LDLᵀ path.
-	BackendSparse
-)
-
-// DefaultSparseJunctions is the BackendAuto switchover point. Water
-// networks are sparse graphs, so the reordered sparse factorization wins
-// from a few dozen junctions up (measured: ~20× at 91 junctions, ~100× at
-// 299); dense survives only as the small-system and cross-check baseline.
-const DefaultSparseJunctions = 32
-
 // Options configures the steady-state solver.
 type Options struct {
-	// Backend selects the linear-algebra backend for the junction head
-	// system. The zero value (BackendAuto) switches from dense to sparse
-	// at DefaultSparseJunctions junctions. For a fixed backend results
-	// are bit-identical run to run; dense and sparse agree to ~1e-8
-	// relative (different factorization orderings round differently).
-	Backend Backend
-
 	// Accuracy is the convergence target on Σ|ΔQ| / Σ|Q| per iteration.
 	// Zero means the EPANET default of 1e-3.
 	Accuracy float64
@@ -206,7 +177,7 @@ type Solver struct {
 	// junction ordinal j, linkSlot[li] for the off-diagonal pair of link
 	// li (-1 when an endpoint is fixed-grade). Resolving slots here keeps
 	// the Newton loop free of index arithmetic and map lookups.
-	sys      matrix.SPDSystem
+	sys      *matrix.SparseSPD
 	diagSlot []int
 	linkSlot []int
 
@@ -312,20 +283,8 @@ func NewSolver(net *network.Network, opts Options) (*Solver, error) {
 				pairs = append(pairs, [2]int{jf, jt})
 			}
 		}
-		backend := s.opts.Backend
-		if backend == BackendAuto {
-			if nj >= DefaultSparseJunctions {
-				backend = BackendSparse
-			} else {
-				backend = BackendDense
-			}
-		}
 		var err error
-		if backend == BackendSparse {
-			s.sys, err = matrix.NewSparseSPD(nj, pairs)
-		} else {
-			s.sys, err = matrix.NewDenseSPD(nj)
-		}
+		s.sys, err = matrix.NewSparseSPD(nj, pairs)
 		if err != nil {
 			return nil, fmt.Errorf("hydraulic: %w", err)
 		}
@@ -413,8 +372,7 @@ func (s *Solver) SetFailureHook(fn func(t time.Duration, attempt int) bool) {
 func (s *Solver) Network() *network.Network { return s.net }
 
 // SystemStats reports the head-system pattern size: stored coefficient
-// count and factor nonzero count (equal for the dense backend; their
-// ratio is the sparse fill-in). Zero values mean the network has no
+// count and factor nonzero count (their ratio is the fill-in). Zero values mean the network has no
 // junctions and therefore no head system.
 func (s *Solver) SystemStats() (nnz, factorNNZ int) {
 	if s.sys == nil {

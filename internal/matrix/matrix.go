@@ -2,12 +2,12 @@
 // hydraulic solver (Global Gradient Algorithm) and the machine-learning
 // package (ridge regression, logistic regression).
 //
-// Two symmetric positive-definite backends live behind the SPDSystem
-// interface: a dense Cholesky (row-major, simplest possible) and a sparse
-// LDLᵀ with a fill-reducing reverse Cuthill-McKee ordering and a one-time
-// symbolic factorization (see sparse.go). Both refactorize and solve
-// without allocating, so a Newton loop can reuse one system across
-// iterations. Dense storage is row-major throughout.
+// The hydraulic head system is a sparse LDLᵀ with a fill-reducing
+// reverse Cuthill-McKee ordering and a one-time symbolic factorization
+// (SparseSPD, see sparse.go). The ridge fit factors its small dense
+// normal equations with a reusable Cholesky. Both refactorize and solve
+// without allocating, so a Newton loop or a column sweep can reuse one
+// system across iterations. Dense storage is row-major throughout.
 package matrix
 
 import (

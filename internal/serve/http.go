@@ -8,7 +8,9 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"strconv"
+	"strings"
 	"time"
 
 	"github.com/aquascale/aquascale/internal/core"
@@ -246,7 +248,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if r.URL.Query().Get("wait") == "1" {
+	if waitFlag(r.URL.RawQuery) {
 		req.Wait = true
 	}
 	req.TraceParent = r.Header.Get("traceparent")
@@ -270,6 +272,31 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.writeJob(w, j)
+}
+
+// waitFlag reports whether the first "wait" value in a raw query is "1",
+// exactly as r.URL.Query().Get("wait") == "1" would, without building a
+// url.Values map per request: pairs split on '&', a pair holding ';' is
+// skipped, and so is one whose key or value fails to unescape.
+func waitFlag(rawQuery string) bool {
+	for rawQuery != "" {
+		var pair string
+		pair, rawQuery, _ = strings.Cut(rawQuery, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		key, value, _ := strings.Cut(pair, "=")
+		key, err := url.QueryUnescape(key)
+		if err != nil || key != "wait" {
+			continue
+		}
+		value, err = url.QueryUnescape(value)
+		if err != nil {
+			continue
+		}
+		return value == "1"
+	}
+	return false
 }
 
 func (s *Server) handleLocalize(w http.ResponseWriter, r *http.Request) {

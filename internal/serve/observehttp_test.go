@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"sync"
 	"testing"
 	"time"
@@ -127,4 +128,31 @@ func BenchmarkObserveHTTP(b *testing.B) {
 			}
 		})
 	}
+}
+
+// FuzzWaitFlag holds waitFlag to the url.Values lookup it replaces: for
+// any raw query it answers what r.URL.Query().Get("wait") == "1" does.
+func FuzzWaitFlag(f *testing.F) {
+	for _, seed := range []string{
+		"wait=1",
+		"x=2&wait=1",
+		"wait=0&wait=1",
+		"w%61it=1",
+		"wait=1;x",
+		"wait=0;x&wait=1",
+		"wait=%31",
+		"wait=%zz&wait=1",
+		"",
+		"wait",
+		"wait=1&",
+		"&&wait=+1",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, rawQuery string) {
+		want := (&url.URL{RawQuery: rawQuery}).Query().Get("wait") == "1"
+		if got := waitFlag(rawQuery); got != want {
+			t.Fatalf("waitFlag(%q) = %v, url.Values says %v", rawQuery, got, want)
+		}
+	})
 }
