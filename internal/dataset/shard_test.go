@@ -182,10 +182,12 @@ func buildSyntheticCorpus(t testing.TB, shards, perShard, featDim, juncs int) (s
 }
 
 // TestCorpusReaderBoundedMemory is the out-of-core guard: a full
-// iteration's steady-state allocations must be O(shard), not O(corpus).
-// The corpus here is ~12 shards; after a warm-up pass the reader's
-// buffers are sized, so a second full pass may allocate on the order of
-// one shard (open/stat/header per shard), never the corpus.
+// iteration's allocations must be O(shard), not O(corpus). The corpus
+// here is ~12 shards; each pass sizes its own decode buffers to the
+// largest shard and reuses them across shards, so a full pass (after a
+// warm-up pass for first-use allocations outside the reader) may
+// allocate on the order of one shard (buffers plus open/stat/header per
+// shard), never the corpus.
 func TestCorpusReaderBoundedMemory(t *testing.T) {
 	const shards, perShard, featDim, juncs = 12, 96, 256, 512
 	dir, shardBytes := buildSyntheticCorpus(t, shards, perShard, featDim, juncs)
@@ -204,7 +206,7 @@ func TestCorpusReaderBoundedMemory(t *testing.T) {
 			t.Fatalf("Each: %v", err)
 		}
 	}
-	pass() // size the reusable buffers
+	pass() // warm up
 
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -219,6 +221,32 @@ func TestCorpusReaderBoundedMemory(t *testing.T) {
 	}
 	if math.IsNaN(sink) {
 		t.Fatal("sink NaN")
+	}
+}
+
+// TestOpenCorpusSharesJunctionTable pins that an opened corpus keeps one
+// junction table: every shard header after the first, once proven equal
+// to the first, shares its backing array, while Junctions still hands
+// out a copy the caller may modify.
+func TestOpenCorpusSharesJunctionTable(t *testing.T) {
+	dir, _ := buildSyntheticCorpus(t, 5, 4, 3, 40)
+	r, err := OpenCorpus(dir)
+	if err != nil {
+		t.Fatalf("OpenCorpus: %v", err)
+	}
+	first := &r.hdrs[0].Junctions[0]
+	for i, h := range r.hdrs {
+		if len(h.Junctions) != 40 || &h.Junctions[0] != first {
+			t.Fatalf("shard %d holds its own junction table (len %d)", i, len(h.Junctions))
+		}
+	}
+	got := r.Junctions()
+	if &got[0] == first {
+		t.Fatal("Junctions returned the shared table, not a copy")
+	}
+	got[0] = -1
+	if r.hdrs[0].Junctions[0] != 3 || r.Junctions()[0] != 3 {
+		t.Fatal("modifying the Junctions result changed the reader")
 	}
 }
 

@@ -27,6 +27,12 @@ const (
 	// hwExp is the Hazen-Williams flow exponent.
 	hwExp = 1.852
 
+	// hwFrac is the exponent hwPow raises |Q| to through Exp/Log:
+	// float64(hwExp−1) − 1, the split math.Pow makes of the float64
+	// exponent 0.852 (exact by Sterbenz). The untyped constant hwExp−2
+	// rounds −0.148 directly and is a different float64.
+	hwFrac = float64(hwExp-1) - 1
+
 	// minorLossCoeff converts a dimensionless minor-loss coefficient K and
 	// diameter d to the quadratic resistance m = K·8/(g·π²·d⁴).
 	minorLossCoeff = 8.0 / (9.81 * math.Pi * math.Pi)
@@ -82,10 +88,23 @@ func evalPipe(r, m, q float64) linkCoeffs {
 		aq = qSmall
 	}
 	// h = r·Q·|Q|^0.852 + m·Q·|Q|; dh/dQ = 1.852·r·|Q|^0.852 + 2·m·|Q|.
-	hw := math.Pow(aq, hwExp-1)
+	hw := hwPow(aq)
 	grad := hwExp*r*hw + 2*m*aq
 	h := q * (r*hw + m*aq)
 	return linkCoeffs{h: h, p: 1 / grad}
+}
+
+// hwPow returns math.Pow(aq, hwExp−1) bit for bit, for aq ≥ qSmall,
+// without Pow's special-case dispatch, Modf and Frexp/Ldexp. Pow computes
+// x^0.852 as Ldexp(Exp(hwFrac·Log x)·m, e) with x = m·2^e; the power-of-two
+// scaling is exact while the result is normal, which aq ≥ qSmall ensures,
+// so multiplying by aq instead rounds identically.
+// TestPipeHeadlossPowIdentity pins this against the standard library.
+func hwPow(aq float64) float64 {
+	if aq == math.Inf(1) {
+		return aq // Exp(hwFrac·Log(+Inf))·(+Inf) would be 0·Inf = NaN
+	}
+	return aq * math.Exp(hwFrac*math.Log(aq))
 }
 
 // evalPump evaluates the pump curve as a negative headloss. Forward flow

@@ -197,6 +197,10 @@ type Solver struct {
 	tankHead   []float64 // staged tank heads, parallel to tankNodes
 	tankOrd    []int     // node index → tank ordinal, -1 otherwise
 
+	// coeffs holds each open link's linearization for the current Newton
+	// iteration: written by assembly, read back by the flow update.
+	coeffs []linkCoeffs
+
 	// failHook, when set, is consulted at the top of every solve attempt;
 	// returning true fails the attempt immediately with an injected
 	// ConvergenceError. Fault-injection only (see the faults package).
@@ -257,6 +261,7 @@ func NewSolver(net *network.Network, opts Options) (*Solver, error) {
 	s.rhs = make([]float64, nj)
 	s.newHead = make([]float64, nj)
 	s.demand = make([]float64, len(net.Nodes))
+	s.coeffs = make([]linkCoeffs, len(net.Links))
 
 	// Tank staging: ascending node order, resolved once.
 	s.tankOrd = make([]int, len(net.Nodes))
@@ -501,13 +506,16 @@ func (s *Solver) solveOnce(t time.Duration, emitters []Emitter, attempt int, war
 			s.rhs[j] += -delivered + dd*s.head[nodeIdx]
 		}
 
-		// Link contributions.
+		// Link contributions. Each open link is linearized once per
+		// iteration; the flow update below reads the same coefficients
+		// back, since the flow has not moved in between.
 		for li := range net.Links {
 			l := &net.Links[li]
 			if l.Status == network.Closed {
 				continue
 			}
 			c := evalLink(l, s.resistance[li], s.minorRes[li], s.flow[li])
+			s.coeffs[li] = c
 			y := c.p * c.h // flow correction term
 			jf := s.junctionOf[l.From]
 			jt := s.junctionOf[l.To]
@@ -587,7 +595,7 @@ func (s *Solver) solveOnce(t time.Duration, emitters []Emitter, attempt int, war
 			if l.Status == network.Closed {
 				continue
 			}
-			c := evalLink(l, s.resistance[li], s.minorRes[li], s.flow[li])
+			c := s.coeffs[li]
 			dh := s.head[l.From] - s.head[l.To]
 			newQ := s.flow[li] - c.p*c.h + c.p*dh
 			step := relax

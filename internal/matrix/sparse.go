@@ -2,6 +2,8 @@ package matrix
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 )
 
@@ -9,10 +11,11 @@ import (
 // pattern, factorized as P·A·Pᵀ = L·D·Lᵀ with a reverse Cuthill-McKee
 // fill-reducing permutation P. The pattern work happens once at
 // construction: the permuted upper-triangle CSC layout, the elimination
-// tree, and the per-column factor counts (the symbolic factorization) are
-// all precomputed, so Factorize and Solve touch only preallocated arrays —
-// zero allocations per call, which is what lets the hydraulic Newton loop
-// refactorize every iteration without GC traffic.
+// tree, the factor column layout and every factor row's pattern (the
+// symbolic factorization) are all precomputed, so Factorize and Solve
+// touch only preallocated arrays — zero allocations and no tree walk per
+// call, which is what lets the hydraulic Newton loop refactorize every
+// iteration cheaply.
 //
 // Assembly targets slots: resolve DiagSlot/PairSlot once, then Add
 // coefficients per iteration after Reset. A SparseSPD is not safe for
@@ -29,19 +32,22 @@ type SparseSPD struct {
 	rowIdx []int
 	values []float64
 
-	// Symbolic factorization: elimination tree and factor column layout.
-	parent []int
-	lp     []int // factor column pointers, len n+1
-	li     []int // factor row indices (strictly below diagonal)
-	lx     []float64
-	d      []float64 // D of LDLᵀ
+	// Symbolic factorization: factor column layout (li is fixed by the
+	// pattern) and, for every factor row k, the columns i with L[k,i] ≠ 0
+	// in the topological order of the elimination tree, each with the
+	// slot of L[k,i] in li/lx. Row k's entries are rowCol/rowSlot
+	// [rowPtr[k], rowPtr[k+1]).
+	lp      []int // factor column pointers, len n+1
+	li      []int // factor row indices (strictly below diagonal)
+	rowPtr  []int
+	rowCol  []int32
+	rowSlot []int32
+	lx      []float64
+	d       []float64 // D of LDLᵀ
 
-	// Numeric workspaces (Davis' up-looking LDL algorithm).
-	y       []float64
-	pattern []int
-	flag    []int
-	lnz     []int
-	w       []float64 // solve workspace, keeps b/x aliasing safe
+	// Numeric workspaces.
+	y []float64 // dense row accumulator of the up-looking factorization
+	w []float64 // solve workspace, keeps b/x aliasing safe
 }
 
 // NewSparseSPD builds the system for an n×n matrix whose off-diagonal
@@ -109,43 +115,79 @@ func NewSparseSPD(n int, pairs [][2]int) (*SparseSPD, error) {
 	s.colPtr[n] = len(s.rowIdx)
 	s.values = make([]float64, len(s.rowIdx))
 
-	s.symbolic()
+	if err := s.symbolic(); err != nil {
+		return nil, err
+	}
 	s.y = make([]float64, n)
-	s.pattern = make([]int, n)
 	s.w = make([]float64, n)
 	return s, nil
 }
 
-// symbolic computes the elimination tree and the exact nonzero count of
-// every factor column from the permuted upper-triangle pattern, then lays
-// out the factor arrays. One pass of path compression over the tree — no
-// numeric work.
-func (s *SparseSPD) symbolic() {
+// symbolic computes the elimination tree and, for every factor row k, its
+// pattern: the union of the etree paths from the rows of column k of A,
+// stacked so that every column precedes its ancestors. That is the order
+// the tree-walking up-looking factorization visits them in, so the
+// numeric phase performs the same operations in the same order. The row
+// patterns give the factor column counts, hence the factor layout; each
+// column's slots then go to its rows in ascending order. No numeric work.
+func (s *SparseSPD) symbolic() error {
 	n := s.n
-	s.parent = make([]int, n)
-	s.flag = make([]int, n)
-	s.lnz = make([]int, n)
-	s.lp = make([]int, n+1)
+	parent := make([]int, n)
+	flag := make([]int, n)
+	lnz := make([]int, n)
+	pattern := make([]int, n)
+	s.rowPtr = make([]int, n+1)
 	for k := 0; k < n; k++ {
-		s.parent[k] = -1
-		s.flag[k] = k
+		parent[k] = -1
+		flag[k] = k
+		top := n
 		for p := s.colPtr[k]; p < s.colPtr[k+1]; p++ {
-			i := s.rowIdx[p]
-			for ; s.flag[i] != k; i = s.parent[i] {
-				if s.parent[i] == -1 {
-					s.parent[i] = k
+			plen := 0
+			for i := s.rowIdx[p]; flag[i] != k; i = parent[i] {
+				if parent[i] == -1 {
+					parent[i] = k
 				}
-				s.lnz[i]++
-				s.flag[i] = k
+				pattern[plen] = i
+				plen++
+				flag[i] = k
+			}
+			for plen > 0 {
+				plen--
+				top--
+				pattern[top] = pattern[plen]
 			}
 		}
+		s.rowPtr[k] = len(s.rowCol)
+		for _, i := range pattern[top:] {
+			s.rowCol = append(s.rowCol, int32(i))
+			lnz[i]++
+		}
 	}
+	s.rowCol = slices.Clone(s.rowCol) // drop append's spare capacity
+	nz := len(s.rowCol)
+	s.rowPtr[n] = nz
+	if n > math.MaxInt32 || nz > math.MaxInt32 {
+		return fmt.Errorf("matrix: SparseSPD of dimension %d with %d factor nonzeros exceeds the int32 row-pattern index", n, nz)
+	}
+	s.lp = make([]int, n+1)
 	for k := 0; k < n; k++ {
-		s.lp[k+1] = s.lp[k] + s.lnz[k]
+		s.lp[k+1] = s.lp[k] + lnz[k]
+		lnz[k] = 0
 	}
-	s.li = make([]int, s.lp[n])
-	s.lx = make([]float64, s.lp[n])
+	s.li = make([]int, nz)
+	s.lx = make([]float64, nz)
 	s.d = make([]float64, n)
+	s.rowSlot = make([]int32, nz)
+	for k := 0; k < n; k++ {
+		for t := s.rowPtr[k]; t < s.rowPtr[k+1]; t++ {
+			i := s.rowCol[t]
+			slot := s.lp[i] + lnz[i]
+			lnz[i]++
+			s.li[slot] = k
+			s.rowSlot[t] = int32(slot)
+		}
+	}
+	return nil
 }
 
 // N returns the system dimension.
@@ -196,53 +238,35 @@ func (s *SparseSPD) PairSlot(i, j int) int {
 func (s *SparseSPD) Add(slot int, v float64) { s.values[slot] += v }
 
 // Factorize recomputes the numeric LDLᵀ factorization from the assembled
-// coefficients. Up-looking, column by column: column k of the factor is a
-// sparse triangular solve against the columns the elimination tree says it
-// depends on. No allocation. Returns ErrNotPositiveDefinite when a pivot
-// is non-positive or non-finite.
+// coefficients. Up-looking, row by row: row k of L is a sparse triangular
+// solve against the factor columns its precomputed pattern names, in
+// elimination-tree order. No allocation. Returns ErrNotPositiveDefinite
+// when a pivot is non-positive or non-finite.
 func (s *SparseSPD) Factorize() error {
-	n := s.n
-	for k := 0; k < n; k++ {
-		// Scatter column k of A and collect its factor pattern as etree
-		// paths in topological order.
-		top := n
-		s.flag[k] = k
-		s.lnz[k] = 0
+	y, li, lx, d := s.y, s.li, s.lx, s.d
+	for k := 0; k < s.n; k++ {
+		// Scatter column k of A.
 		for p := s.colPtr[k]; p < s.colPtr[k+1]; p++ {
-			i := s.rowIdx[p]
-			s.y[i] += s.values[p]
-			plen := 0
-			for ; s.flag[i] != k; i = s.parent[i] {
-				s.pattern[plen] = i
-				plen++
-				s.flag[i] = k
-			}
-			for plen > 0 {
-				plen--
-				top--
-				s.pattern[top] = s.pattern[plen]
-			}
+			y[s.rowIdx[p]] += s.values[p]
 		}
-		dk := s.y[k]
-		s.y[k] = 0
-		for ; top < n; top++ {
-			i := s.pattern[top]
-			yi := s.y[i]
-			s.y[i] = 0
-			p2 := s.lp[i] + s.lnz[i]
-			for p := s.lp[i]; p < p2; p++ {
-				s.y[s.li[p]] -= s.lx[p] * yi
+		dk := y[k]
+		y[k] = 0
+		for t := s.rowPtr[k]; t < s.rowPtr[k+1]; t++ {
+			i := s.rowCol[t]
+			slot := int(s.rowSlot[t])
+			yi := y[i]
+			y[i] = 0
+			for p := s.lp[i]; p < slot; p++ {
+				y[li[p]] -= lx[p] * yi
 			}
-			lki := yi / s.d[i]
+			lki := yi / d[i]
 			dk -= lki * yi
-			s.li[p2] = k
-			s.lx[p2] = lki
-			s.lnz[i]++
+			lx[slot] = lki
 		}
 		if !(dk > 0) { // catches dk <= 0 and NaN
 			return ErrNotPositiveDefinite
 		}
-		s.d[k] = dk
+		d[k] = dk
 	}
 	return nil
 }
