@@ -103,11 +103,9 @@ func TestExportedAPISurface(t *testing.T) {
 // line, "kind Name". Keep it sorted (the test sorts defensively).
 const goldenSurface = `
 const Closed
-const ColdSnapWeather
 const FlowSensor
 const FreezeThresholdF
 const Junction
-const MildWeather
 const Open
 const Pipe
 const PressureSensor
@@ -128,7 +126,6 @@ func BuildGrid
 func BuildTestNet
 func BuildWSSCSubnet
 func ClassifierNames
-func DEMFromNetwork
 func DetectOnset
 func DisableTelemetry
 func EnableTelemetry
@@ -136,8 +133,6 @@ func ExperimentIDs
 func ExperimentSpanName
 func Experiments
 func FuseOdds
-func GenerateMarkovWeather
-func GenerateWeatherSeries
 func HammingScore
 func HammingScoreProba
 func LoadProfile
@@ -148,7 +143,6 @@ func NewFleet
 func NewFusionEngine
 func NewLeakGenerator
 func NewLogger
-func NewMarkovWeatherSeries
 func NewNetwork
 func NewPlacer
 func NewReportGenerator
@@ -164,8 +158,6 @@ func ReadRuntimeHealth
 func ReadSensors
 func RunEPS
 func RunEPSContext
-func RunQuality
-func RunQualityContext
 func SimulateFlood
 func SimulateFloodContext
 func Techniques
@@ -213,7 +205,6 @@ type FusionConfig
 type FusionEngine
 type GridConfig
 type HydraulicResult
-type Injection
 type LeakEvent
 type LeakGenerator
 type LeakGeneratorConfig
@@ -222,8 +213,6 @@ type Link
 type LinkStatus
 type LinkType
 type LocalizeResult
-type MarkovWeatherConfig
-type MarkovWeatherSeries
 type Network
 type Node
 type NodeType
@@ -238,8 +227,6 @@ type Placer
 type Prediction
 type Profile
 type ProfileConfig
-type QualityOptions
-type QualityResult
 type Rand
 type Report
 type ReportGenerator
@@ -269,7 +256,6 @@ type TelemetrySnapshot
 type TimeSeries
 type TraceRecorder
 type TraceSnapshot
-type WeatherRegime
 type WeatherSeries
 type WeatherSeriesConfig
 var DefaultFreezeModel

@@ -27,15 +27,15 @@
 // struct, validate it, and return an error when the pieces don't fit.
 //
 // Every long-running entry point has a Context spelling —
-// RunEPSContext, RunQualityContext, TrainProfileContext,
-// SimulateFloodContext, Factory.GenerateContext, System.TrainContext,
+// RunEPSContext, TrainProfileContext, SimulateFloodContext,
+// Factory.GenerateContext, System.TrainContext,
 // System.EvaluateParallelContext, Factory.GenerateCorpus,
 // TrainProfileFromCorpus — that observes cancellation at its loop
 // boundaries (between solver steps, scenario dispatches, per-junction
 // classifier fits): in-flight work finishes, partial state is never
 // published, and the error is ctx.Err(). The context-free spellings
-// (RunEPS, RunQuality, TrainProfile, SimulateFlood, …) are documented
-// one-line shorthands for the Context form with context.Background().
+// (RunEPS, TrainProfile, SimulateFlood, …) are documented one-line
+// shorthands for the Context form with context.Background().
 //
 // Quickstart:
 //
@@ -164,29 +164,6 @@ func RunEPS(n *Network, opts EPSOptions, emitters []ScheduledEmitter) (*TimeSeri
 // steps.
 func RunEPSContext(ctx context.Context, n *Network, opts EPSOptions, emitters []ScheduledEmitter) (*TimeSeries, error) {
 	return hydraulic.RunEPSContext(ctx, n, opts, emitters)
-}
-
-// Water-quality transport (contaminant propagation through the network).
-type (
-	// Injection is a constituent source at a node.
-	Injection = hydraulic.Injection
-	// QualityOptions configures water-quality transport.
-	QualityOptions = hydraulic.QualityOptions
-	// QualityResult holds constituent concentrations over time.
-	QualityResult = hydraulic.QualityResult
-)
-
-// RunQuality advects a constituent along a completed hydraulic simulation
-// (plug flow in pipes, complete mixing at junctions and tanks). It is
-// shorthand for RunQualityContext with context.Background().
-func RunQuality(n *Network, ts *TimeSeries, injections []Injection, opts QualityOptions) (*QualityResult, error) {
-	return hydraulic.RunQuality(n, ts, injections, opts)
-}
-
-// RunQualityContext is RunQuality with cancellation, checked between
-// hydraulic snapshots.
-func RunQualityContext(ctx context.Context, n *Network, ts *TimeSeries, injections []Injection, opts QualityOptions) (*QualityResult, error) {
-	return hydraulic.RunQualityContext(ctx, n, ts, injections, opts)
 }
 
 // ErrNotConverged is returned when the hydraulic solver fails to converge.
@@ -473,52 +450,9 @@ const FreezeThresholdF = weather.FreezeThresholdF
 var DefaultFreezeModel = weather.DefaultFreezeModel
 
 // NewWeatherSeries synthesizes an ambient temperature series from a
-// validated config — the convention-conforming name for
-// GenerateWeatherSeries.
+// validated config.
 func NewWeatherSeries(cfg WeatherSeriesConfig, rng Rand) (*WeatherSeries, error) {
 	return weather.GenerateSeries(cfg, rng)
-}
-
-// GenerateWeatherSeries synthesizes an ambient temperature series.
-//
-// Deprecated: use NewWeatherSeries. The function takes a config and can
-// fail, so it follows the New* constructor convention; this alias is
-// kept so existing callers don't break.
-func GenerateWeatherSeries(cfg WeatherSeriesConfig, rng Rand) (*WeatherSeries, error) {
-	return NewWeatherSeries(cfg, rng)
-}
-
-// Markov regime-switching weather (the paper's stated future work).
-type (
-	// WeatherRegime is a hidden weather state (Mild or ColdSnap).
-	WeatherRegime = weather.Regime
-	// MarkovWeatherConfig parameterizes regime-switching weather.
-	MarkovWeatherConfig = weather.MarkovConfig
-	// MarkovWeatherSeries is a temperature series with its regime path.
-	MarkovWeatherSeries = weather.MarkovSeries
-)
-
-// Weather regimes.
-const (
-	MildWeather     = weather.Mild
-	ColdSnapWeather = weather.ColdSnap
-)
-
-// NewMarkovWeatherSeries synthesizes a regime-switching temperature
-// series with persistent cold snaps — the convention-conforming name
-// for GenerateMarkovWeather.
-func NewMarkovWeatherSeries(cfg MarkovWeatherConfig, rng Rand) (*MarkovWeatherSeries, error) {
-	return weather.GenerateMarkovSeries(cfg, rng)
-}
-
-// GenerateMarkovWeather synthesizes a regime-switching temperature series
-// with persistent cold snaps.
-//
-// Deprecated: use NewMarkovWeatherSeries. The function takes a config
-// and can fail, so it follows the New* constructor convention; this
-// alias is kept so existing callers don't break.
-func GenerateMarkovWeather(cfg MarkovWeatherConfig, rng Rand) (*MarkovWeatherSeries, error) {
-	return NewMarkovWeatherSeries(cfg, rng)
 }
 
 // Human input (social sensing).
@@ -562,19 +496,9 @@ type (
 	FloodResult = flood.Result
 )
 
-// NewDEM interpolates a DEM from node elevations — the
-// convention-conforming name for DEMFromNetwork.
+// NewDEM interpolates a DEM from node elevations.
 func NewDEM(n *Network, cellSize float64, marginCells int) (*DEM, error) {
 	return flood.FromNetwork(n, cellSize, marginCells)
-}
-
-// DEMFromNetwork interpolates a DEM from node elevations.
-//
-// Deprecated: use NewDEM. The function validates its inputs and can
-// fail, so it follows the New* constructor convention; this alias is
-// kept so existing callers don't break.
-func DEMFromNetwork(n *Network, cellSize float64, marginCells int) (*DEM, error) {
-	return NewDEM(n, cellSize, marginCells)
 }
 
 // SimulateFlood runs the local-inertial shallow-water model. It is

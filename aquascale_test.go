@@ -124,9 +124,9 @@ func TestPublicFusionHelpers(t *testing.T) {
 
 func TestPublicFlood(t *testing.T) {
 	net := aquascale.BuildTestNet()
-	dem, err := aquascale.DEMFromNetwork(net, 50, 2)
+	dem, err := aquascale.NewDEM(net, 50, 2)
 	if err != nil {
-		t.Fatalf("DEMFromNetwork: %v", err)
+		t.Fatalf("NewDEM: %v", err)
 	}
 	dem.AddRoughness(0.2, 9)
 	res, err := aquascale.SimulateFlood(dem, []aquascale.FloodSource{{
@@ -155,12 +155,12 @@ func TestPublicExperimentRegistry(t *testing.T) {
 }
 
 func TestPublicWeather(t *testing.T) {
-	series, err := aquascale.GenerateWeatherSeries(aquascale.WeatherSeriesConfig{
+	series, err := aquascale.NewWeatherSeries(aquascale.WeatherSeriesConfig{
 		Duration: 24 * time.Hour,
 		MeanF:    15, // deep cold
 	}, rand.New(rand.NewSource(1)))
 	if err != nil {
-		t.Fatalf("GenerateWeatherSeries: %v", err)
+		t.Fatalf("NewWeatherSeries: %v", err)
 	}
 	if series.At(5*time.Hour) > aquascale.FreezeThresholdF+15 {
 		t.Fatalf("pre-dawn temp = %v, expected deep cold", series.At(5*time.Hour))

@@ -191,7 +191,7 @@ func BenchmarkProfileInference(b *testing.B) {
 
 func BenchmarkFloodHour(b *testing.B) {
 	net := aquascale.BuildTestNet()
-	dem, err := aquascale.DEMFromNetwork(net, 50, 2)
+	dem, err := aquascale.NewDEM(net, 50, 2)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -91,7 +91,7 @@ func run() error {
 		return err
 	}
 
-	dem, err := aquascale.DEMFromNetwork(net, *cell, 2)
+	dem, err := aquascale.NewDEM(net, *cell, 2)
 	if err != nil {
 		return err
 	}

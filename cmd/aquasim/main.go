@@ -7,7 +7,6 @@
 //	aquasim -net epanet -duration 4h -leak J45:0.002:30m
 //	aquasim -net wssc -format json -leak W150:0.004:0s -leak W230:0.0015:0s
 //	aquasim -net my-network.inp -duration 2h
-//	aquasim -net epanet -duration 12h -inject J40:100:2h:4h -series quality
 package main
 
 import (
@@ -15,6 +14,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -35,38 +35,6 @@ type leakSpecs []leakSpec
 
 func (l *leakSpecs) String() string { return fmt.Sprintf("%d leaks", len(*l)) }
 
-// injectSpec is a water-quality injection NODE:CONC:START:END.
-type injectSpec struct {
-	node       string
-	conc       float64
-	start, end time.Duration
-}
-
-type injectSpecs []injectSpec
-
-func (l *injectSpecs) String() string { return fmt.Sprintf("%d injections", len(*l)) }
-
-func (l *injectSpecs) Set(v string) error {
-	parts := strings.Split(v, ":")
-	if len(parts) != 4 {
-		return fmt.Errorf("inject spec %q: want NODE:CONC:START:END (e.g. J40:100:2h:4h)", v)
-	}
-	conc, err := strconv.ParseFloat(parts[1], 64)
-	if err != nil || conc < 0 {
-		return fmt.Errorf("inject spec %q: bad concentration %q", v, parts[1])
-	}
-	start, err := time.ParseDuration(parts[2])
-	if err != nil || start < 0 {
-		return fmt.Errorf("inject spec %q: bad start %q", v, parts[2])
-	}
-	end, err := time.ParseDuration(parts[3])
-	if err != nil || end < start {
-		return fmt.Errorf("inject spec %q: bad end %q", v, parts[3])
-	}
-	*l = append(*l, injectSpec{node: parts[0], conc: conc, start: start, end: end})
-	return nil
-}
-
 func (l *leakSpecs) Set(v string) error {
 	parts := strings.Split(v, ":")
 	if len(parts) != 3 {
@@ -85,26 +53,26 @@ func (l *leakSpecs) Set(v string) error {
 }
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "aquasim:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("aquasim", flag.ContinueOnError)
 	var (
-		netName  = flag.String("net", "epanet", "network: epanet, wssc, test, or a path to an INP file")
-		duration = flag.Duration("duration", 4*time.Hour, "simulated time span")
-		step     = flag.Duration("step", 15*time.Minute, "hydraulic / sampling step")
-		format   = flag.String("format", "csv", "output format: csv or json")
-		what     = flag.String("series", "pressure", "series to dump: pressure, flow or quality")
-		decay    = flag.Float64("decay", 0, "first-order constituent decay per hour (quality series)")
+		netName  = fs.String("net", "epanet", "network: epanet, wssc, test, or a path to an INP file")
+		duration = fs.Duration("duration", 4*time.Hour, "simulated time span")
+		step     = fs.Duration("step", 15*time.Minute, "hydraulic / sampling step")
+		format   = fs.String("format", "csv", "output format: csv or json")
+		what     = fs.String("series", "pressure", "series to dump: pressure or flow")
 		leaks    leakSpecs
-		injects  injectSpecs
 	)
-	flag.Var(&leaks, "leak", "leak event NODE:SIZE:START (repeatable); SIZE is EC in m^3/s per m^0.5")
-	flag.Var(&injects, "inject", "quality injection NODE:CONC:START:END (repeatable, mg/L)")
-	flag.Parse()
+	fs.Var(&leaks, "leak", "leak event NODE:SIZE:START (repeatable); SIZE is EC in m^3/s per m^0.5")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	net, err := loadNetwork(*netName)
 	if err != nil {
@@ -126,32 +94,11 @@ func run() error {
 		return err
 	}
 
-	if *what == "quality" {
-		injections := make([]aquascale.Injection, 0, len(injects))
-		for _, spec := range injects {
-			idx, ok := net.NodeIndex(spec.node)
-			if !ok {
-				return fmt.Errorf("unknown node %q in network %s", spec.node, net.Name)
-			}
-			injections = append(injections, aquascale.Injection{
-				Node: idx, Concentration: spec.conc, Start: spec.start, End: spec.end,
-			})
-		}
-		if len(injections) == 0 {
-			return fmt.Errorf("quality series needs at least one -inject NODE:CONC:START:END")
-		}
-		qr, err := aquascale.RunQuality(net, ts, injections, aquascale.QualityOptions{DecayRate: *decay})
-		if err != nil {
-			return err
-		}
-		return writeQualityCSV(net, qr)
-	}
-
 	switch *format {
 	case "csv":
-		return writeCSV(net, ts, *what)
+		return writeCSV(out, net, ts, *what)
 	case "json":
-		return writeJSON(net, ts, *what)
+		return writeJSON(out, net, ts, *what)
 	default:
 		return fmt.Errorf("unknown format %q", *format)
 	}
@@ -181,9 +128,8 @@ func loadNetwork(name string) (*aquascale.Network, error) {
 	return net, nil
 }
 
-func writeCSV(net *aquascale.Network, ts *aquascale.TimeSeries, what string) error {
-	w := csv.NewWriter(os.Stdout)
-	defer w.Flush()
+func writeCSV(out io.Writer, net *aquascale.Network, ts *aquascale.TimeSeries, what string) error {
+	w := csv.NewWriter(out)
 	header := []string{"time_min"}
 	switch what {
 	case "pressure":
@@ -215,30 +161,8 @@ func writeCSV(net *aquascale.Network, ts *aquascale.TimeSeries, what string) err
 			return err
 		}
 	}
-	return nil
-}
-
-// writeQualityCSV dumps per-node constituent concentrations.
-func writeQualityCSV(net *aquascale.Network, qr *aquascale.QualityResult) error {
-	w := csv.NewWriter(os.Stdout)
-	defer w.Flush()
-	header := []string{"time_min"}
-	for i := range net.Nodes {
-		header = append(header, net.Nodes[i].ID)
-	}
-	if err := w.Write(header); err != nil {
-		return err
-	}
-	for k := range qr.Times {
-		row := []string{strconv.FormatFloat(qr.Times[k].Minutes(), 'f', 1, 64)}
-		for _, c := range qr.Node[k] {
-			row = append(row, strconv.FormatFloat(c, 'f', 4, 64))
-		}
-		if err := w.Write(row); err != nil {
-			return err
-		}
-	}
-	return nil
+	w.Flush()
+	return w.Error()
 }
 
 type jsonOutput struct {
@@ -250,7 +174,7 @@ type jsonOutput struct {
 	Leaks   []map[string]float64 `json:"leakOutflow,omitempty"`
 }
 
-func writeJSON(net *aquascale.Network, ts *aquascale.TimeSeries, what string) error {
+func writeJSON(w io.Writer, net *aquascale.Network, ts *aquascale.TimeSeries, what string) error {
 	out := jsonOutput{Network: net.Name, Series: what}
 	switch what {
 	case "pressure":
@@ -274,7 +198,7 @@ func writeJSON(net *aquascale.Network, ts *aquascale.TimeSeries, what string) er
 		}
 		out.Leaks = append(out.Leaks, leakMap)
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
 }

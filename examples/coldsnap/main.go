@@ -23,7 +23,7 @@ func main() {
 	rng := rand.New(rand.NewSource(42))
 
 	// A week of winter weather; day 4 brings a polar cold snap.
-	series, err := aquascale.GenerateWeatherSeries(aquascale.WeatherSeriesConfig{
+	series, err := aquascale.NewWeatherSeries(aquascale.WeatherSeriesConfig{
 		Duration:      7 * 24 * time.Hour,
 		Step:          time.Hour,
 		MeanF:         33,

@@ -43,7 +43,7 @@ func main() {
 	fmt.Printf("burst at %s: %.1f L/s (pressure %.1f m)\n\n",
 		net.Nodes[v2].ID, q2*1000, res.Pressure[v2])
 
-	dem, err := aquascale.DEMFromNetwork(net, 40, 2)
+	dem, err := aquascale.NewDEM(net, 40, 2)
 	if err != nil {
 		log.Fatal(err)
 	}

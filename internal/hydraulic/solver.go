@@ -376,16 +376,6 @@ func (s *Solver) SetFailureHook(fn func(t time.Duration, attempt int) bool) {
 // Network returns the network this solver was built for.
 func (s *Solver) Network() *network.Network { return s.net }
 
-// SystemStats reports the head-system pattern size: stored coefficient
-// count and factor nonzero count (their ratio is the fill-in). Zero values mean the network has no
-// junctions and therefore no head system.
-func (s *Solver) SystemStats() (nnz, factorNNZ int) {
-	if s.sys == nil {
-		return 0, 0
-	}
-	return s.sys.NNZ(), s.sys.FactorNNZ()
-}
-
 // SolveSteady computes a steady-state snapshot at elapsed time t (which
 // selects demand-pattern multipliers), with the given active emitters and
 // optional tank head overrides (node index → hydraulic head). Tank heads

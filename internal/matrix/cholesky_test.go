@@ -64,7 +64,7 @@ func randomGram(rng *rand.Rand, n, rows int, shift float64, dup bool) *Dense {
 			m.data[r*n+n-1] = m.data[r*n]
 		}
 	}
-	a := m.TransposeMul(m)
+	a := gram(m)
 	for i := 0; i < n; i++ {
 		a.data[i*n+i] += shift
 		for j := i + 1; j < n; j++ {

@@ -16,10 +16,6 @@ import (
 	"math"
 )
 
-// ErrSingular is returned when a factorization encounters a (numerically)
-// singular matrix.
-var ErrSingular = errors.New("matrix: singular matrix")
-
 // ErrNotPositiveDefinite is returned by Cholesky when the matrix is not
 // symmetric positive definite.
 var ErrNotPositiveDefinite = errors.New("matrix: matrix not positive definite")
@@ -38,28 +34,8 @@ func NewDense(rows, cols int) *Dense {
 	return &Dense{rows: rows, cols: cols, data: make([]float64, rows*cols)}
 }
 
-// NewDenseFrom builds a matrix from a slice of row slices. All rows must
-// have equal length.
-func NewDenseFrom(rows [][]float64) (*Dense, error) {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		return nil, errors.New("matrix: empty input")
-	}
-	cols := len(rows[0])
-	m := NewDense(len(rows), cols)
-	for i, r := range rows {
-		if len(r) != cols {
-			return nil, fmt.Errorf("matrix: ragged input: row %d has %d cols, want %d", i, len(r), cols)
-		}
-		copy(m.data[i*cols:(i+1)*cols], r)
-	}
-	return m, nil
-}
-
 // Rows returns the number of rows.
 func (m *Dense) Rows() int { return m.rows }
-
-// Cols returns the number of columns.
-func (m *Dense) Cols() int { return m.cols }
 
 // At returns the element at (i, j).
 func (m *Dense) At(i, j int) float64 { return m.data[i*m.cols+j] }
@@ -80,77 +56,19 @@ func (m *Dense) Zero() {
 	}
 }
 
-// Clone returns a deep copy of m.
-func (m *Dense) Clone() *Dense {
-	out := NewDense(m.rows, m.cols)
-	copy(out.data, m.data)
-	return out
-}
-
-// MulVec computes y = m·x. The result slice is freshly allocated unless dst
-// is non-nil and has length m.Rows(), in which case dst is reused.
-func (m *Dense) MulVec(x, dst []float64) []float64 {
-	if len(x) != m.cols {
-		panic(fmt.Sprintf("matrix: MulVec dimension mismatch: %d vs %d", len(x), m.cols))
-	}
-	if dst == nil || len(dst) != m.rows {
-		dst = make([]float64, m.rows)
-	}
-	for i := 0; i < m.rows; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		s := 0.0
-		for j, v := range row {
-			s += v * x[j]
-		}
-		dst[i] = s
-	}
-	return dst
-}
-
-// TransposeMul computes C = mᵀ·b where b has the same number of rows as m.
-func (m *Dense) TransposeMul(b *Dense) *Dense {
-	if m.rows != b.rows {
-		panic(fmt.Sprintf("matrix: TransposeMul dimension mismatch: %d vs %d", m.rows, b.rows))
-	}
-	out := NewDense(m.cols, b.cols)
-	for k := 0; k < m.rows; k++ {
-		mr := m.data[k*m.cols : (k+1)*m.cols]
-		br := b.data[k*b.cols : (k+1)*b.cols]
-		for i, mv := range mr {
-			if mv == 0 {
-				continue
-			}
-			or := out.data[i*out.cols : (i+1)*out.cols]
-			for j, bv := range br {
-				or[j] += mv * bv
-			}
-		}
-	}
-	return out
-}
-
 // Cholesky holds the lower-triangular Cholesky factor of a symmetric
-// positive-definite matrix, A = L·Lᵀ.
+// positive-definite matrix, A = L·Lᵀ. The zero value is ready for
+// Refactorize.
 type Cholesky struct {
 	n int
 	l []float64 // row-major lower triangle (full storage for simplicity)
-}
-
-// NewCholesky factorizes the symmetric positive-definite matrix a.
-// Only the lower triangle of a is read.
-func NewCholesky(a *Dense) (*Cholesky, error) {
-	c := &Cholesky{}
-	if err := c.Refactorize(a); err != nil {
-		return nil, err
-	}
-	return c, nil
 }
 
 // Refactorize recomputes the factorization for a new a, reusing the factor
 // buffer whenever the dimension matches: after the first call no memory is
 // allocated, which keeps repeated Newton-iteration factorizations off the
 // garbage collector. Only the lower triangle of a is read. On error the
-// factor is invalid and must be refactorized before the next Solve.
+// factor is invalid and must be refactorized before the next SolveTo.
 //
 // Every entry is the row-major Cholesky–Crout recurrence
 //
@@ -226,15 +144,6 @@ func (c *Cholesky) factorRow(a *Dense, i, j0 int) error {
 	return nil
 }
 
-// Solve solves A·x = b into a fresh slice and returns x.
-func (c *Cholesky) Solve(b []float64) ([]float64, error) {
-	x := make([]float64, c.n)
-	if err := c.SolveTo(x, b); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
 // SolveTo solves A·x = b into dst without allocating. dst and b must have
 // length n; dst may alias b.
 func (c *Cholesky) SolveTo(dst, b []float64) error {
@@ -261,83 +170,4 @@ func (c *Cholesky) SolveTo(dst, b []float64) error {
 		x[i] = s / l[i*n+i]
 	}
 	return nil
-}
-
-// LU holds an LU factorization with partial pivoting.
-type LU struct {
-	n    int
-	lu   []float64
-	piv  []int
-	sign int
-}
-
-// NewLU factorizes a general square matrix with partial pivoting.
-func NewLU(a *Dense) (*LU, error) {
-	if a.rows != a.cols {
-		return nil, fmt.Errorf("matrix: LU of non-square %dx%d matrix", a.rows, a.cols)
-	}
-	n := a.rows
-	lu := make([]float64, n*n)
-	copy(lu, a.data)
-	piv := make([]int, n)
-	for i := range piv {
-		piv[i] = i
-	}
-	f := &LU{n: n, lu: lu, piv: piv, sign: 1}
-	for col := 0; col < n; col++ {
-		// Pivot search.
-		p := col
-		maxAbs := math.Abs(lu[col*n+col])
-		for r := col + 1; r < n; r++ {
-			if a := math.Abs(lu[r*n+col]); a > maxAbs {
-				maxAbs, p = a, r
-			}
-		}
-		if maxAbs < 1e-300 {
-			return nil, ErrSingular
-		}
-		if p != col {
-			for k := 0; k < n; k++ {
-				lu[p*n+k], lu[col*n+k] = lu[col*n+k], lu[p*n+k]
-			}
-			piv[p], piv[col] = piv[col], piv[p]
-			f.sign = -f.sign
-		}
-		inv := 1 / lu[col*n+col]
-		for r := col + 1; r < n; r++ {
-			m := lu[r*n+col] * inv
-			lu[r*n+col] = m
-			if m == 0 {
-				continue
-			}
-			for k := col + 1; k < n; k++ {
-				lu[r*n+k] -= m * lu[col*n+k]
-			}
-		}
-	}
-	return f, nil
-}
-
-// Solve solves A·x = b.
-func (f *LU) Solve(b []float64) ([]float64, error) {
-	if len(b) != f.n {
-		return nil, fmt.Errorf("matrix: LU solve dimension mismatch: %d vs %d", len(b), f.n)
-	}
-	n := f.n
-	x := make([]float64, n)
-	for i := 0; i < n; i++ {
-		x[i] = b[f.piv[i]]
-	}
-	for i := 0; i < n; i++ {
-		for k := 0; k < i; k++ {
-			x[i] -= f.lu[i*n+k] * x[k]
-		}
-	}
-	for i := n - 1; i >= 0; i-- {
-		for k := i + 1; k < n; k++ {
-			x[i] -= f.lu[i*n+k] * x[k]
-		}
-		x[i] /= f.lu[i*n+i]
-	}
-	return x, nil
 }

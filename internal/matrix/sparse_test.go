@@ -262,16 +262,16 @@ func TestCholeskyRefactorizeMatchesNew(t *testing.T) {
 				m.Set(i, j, rng.NormFloat64())
 			}
 		}
-		a := m.TransposeMul(m)
+		a := gram(m)
 		for i := 0; i < n; i++ {
 			a.Add(i, i, float64(n))
 		}
 		if err := c.Refactorize(a); err != nil {
 			t.Fatalf("trial %d: Refactorize: %v", trial, err)
 		}
-		fresh, err := NewCholesky(a)
-		if err != nil {
-			t.Fatalf("trial %d: NewCholesky: %v", trial, err)
+		var fresh Cholesky
+		if err := fresh.Refactorize(a); err != nil {
+			t.Fatalf("trial %d: fresh Refactorize: %v", trial, err)
 		}
 		b := make([]float64, n)
 		for i := range b {
@@ -281,9 +281,9 @@ func TestCholeskyRefactorizeMatchesNew(t *testing.T) {
 		if err := c.SolveTo(x, b); err != nil {
 			t.Fatalf("trial %d: SolveTo: %v", trial, err)
 		}
-		want, err := fresh.Solve(b)
-		if err != nil {
-			t.Fatalf("trial %d: Solve: %v", trial, err)
+		want := make([]float64, n)
+		if err := fresh.SolveTo(want, b); err != nil {
+			t.Fatalf("trial %d: fresh SolveTo: %v", trial, err)
 		}
 		for i := range x {
 			if x[i] != want[i] {

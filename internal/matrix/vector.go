@@ -1,7 +1,5 @@
 package matrix
 
-import "math"
-
 // Dot returns the inner product of a and b. The slices must have equal
 // length; this is the caller's responsibility (hot path, no check).
 func Dot(a, b []float64) float64 {
@@ -24,57 +22,6 @@ func Scale(alpha float64, x []float64) {
 	for i := range x {
 		x[i] *= alpha
 	}
-}
-
-// Norm2 returns the Euclidean norm of x.
-func Norm2(x []float64) float64 {
-	s := 0.0
-	for _, v := range x {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// NormInf returns the maximum absolute value in x (0 for empty input).
-func NormInf(x []float64) float64 {
-	m := 0.0
-	for _, v := range x {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// Sum returns the sum of elements of x.
-func Sum(x []float64) float64 {
-	s := 0.0
-	for _, v := range x {
-		s += v
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean of x (0 for empty input).
-func Mean(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	return Sum(x) / float64(len(x))
-}
-
-// Variance returns the population variance of x (0 for len < 2).
-func Variance(x []float64) float64 {
-	if len(x) < 2 {
-		return 0
-	}
-	m := Mean(x)
-	s := 0.0
-	for _, v := range x {
-		d := v - m
-		s += d * d
-	}
-	return s / float64(len(x))
 }
 
 // Clone returns a copy of x.

@@ -44,12 +44,12 @@ func rowwiseRidge(t *testing.T, x [][]float64, y []int, lambda float64) ([]float
 		}
 		a.Add(p, p, lambda*float64(len(xs)))
 	}
-	ch, err := matrix.NewCholesky(a)
-	if err != nil {
+	var ch matrix.Cholesky
+	if err := ch.Refactorize(a); err != nil {
 		t.Fatalf("reference factor: %v", err)
 	}
-	beta, err := ch.Solve(b)
-	if err != nil {
+	beta := make([]float64, cols)
+	if err := ch.SolveTo(beta, b); err != nil {
 		t.Fatalf("reference solve: %v", err)
 	}
 	return beta[:d], beta[d]
