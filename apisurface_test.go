@@ -187,7 +187,6 @@ type DatasetConfig
 type EPSOptions
 type Emitter
 type EvalResult
-type EvalSkippedScenario
 type ExperimentFigure
 type ExperimentRunner
 type ExperimentScale

@@ -261,7 +261,8 @@ type (
 	// consumed (errors.Is-compatible with ErrNotConverged).
 	ScenarioError = dataset.ScenarioError
 	// SkippedScenario records one scenario dropped from a generated
-	// dataset after retry exhaustion (see Dataset.Skipped).
+	// dataset or an evaluation run after retry exhaustion (see
+	// Dataset.Skipped and EvalResult.Skipped).
 	SkippedScenario = dataset.SkippedScenario
 )
 
@@ -408,9 +409,6 @@ type (
 	ColdScenario = core.ColdScenario
 	// EvalResult summarizes an evaluation run.
 	EvalResult = core.EvalResult
-	// EvalSkippedScenario records one evaluation scenario dropped after
-	// retry exhaustion (see EvalResult.Skipped).
-	EvalSkippedScenario = core.SkippedScenario
 )
 
 // NewSystem builds an untrained AquaSCALE system.

@@ -24,39 +24,45 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "aquabench:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run is the command body; it writes results to stdout and returns the
+// first error, a failed write to stdout included.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("aquabench", flag.ContinueOnError)
 	var (
-		list       = flag.Bool("list", false, "list experiment ids and exit")
-		runID      = flag.String("run", "", "experiment id to run, or 'all'")
-		train      = flag.Int("train", 0, "training scenarios (0 = default 600; paper 20000)")
-		test       = flag.Int("test", 0, "test scenarios (0 = default 60; paper 2000)")
-		seed       = flag.Int64("seed", 1, "random seed")
-		workers    = flag.Int("workers", 0, "evaluation worker goroutines (0 = all CPUs, 1 = serial; figures are identical for any value at a fixed seed)")
-		retries    = flag.Int("retries", 0, "solver retry budget on non-convergence (stepped relaxation + warm restart; 0 = no retry)")
-		failFast   = flag.Bool("fail-fast", false, "abort an experiment on the first failed scenario instead of skipping it")
-		fDropout   = flag.Float64("fault-dropout", 0, "injected per-sensor dropout probability (reading lost, sanitized to a neutral feature)")
-		fStuck     = flag.Float64("fault-stuck", 0, "injected per-sensor stuck-at probability (sensor repeats its pre-leak reading)")
-		fNaN       = flag.Float64("fault-nan", 0, "injected per-sensor NaN-reading probability")
-		fSolver    = flag.Float64("fault-solver", 0, "injected per-solve forced non-convergence probability")
-		fAttempts  = flag.Int("fault-solver-attempts", 1, "forced failures per hit solve (above -retries makes the scenario skip)")
-		outPath    = flag.String("out", "", "also write results to this file")
-		metricsOut = flag.String("metrics-out", "", "write a JSON telemetry snapshot to this file on exit")
-		httpAddr   = flag.String("http", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. localhost:6060)")
-		progress   = flag.Duration("progress", 0, "print a telemetry heartbeat to stderr at this interval (e.g. 10s; 0 = off)")
+		list       = fs.Bool("list", false, "list experiment ids and exit")
+		runID      = fs.String("run", "", "experiment id to run, or 'all'")
+		train      = fs.Int("train", 0, "training scenarios (0 = default 600; paper 20000)")
+		test       = fs.Int("test", 0, "test scenarios (0 = default 60; paper 2000)")
+		seed       = fs.Int64("seed", 1, "random seed")
+		workers    = fs.Int("workers", 0, "evaluation worker goroutines (0 = all CPUs, 1 = serial; figures are identical for any value at a fixed seed)")
+		retries    = fs.Int("retries", 0, "solver retry budget on non-convergence (stepped relaxation + warm restart; 0 = no retry)")
+		fDropout   = fs.Float64("fault-dropout", 0, "injected per-sensor dropout probability (reading lost, sanitized to a neutral feature)")
+		fStuck     = fs.Float64("fault-stuck", 0, "injected per-sensor stuck-at probability (sensor repeats its pre-leak reading)")
+		fNaN       = fs.Float64("fault-nan", 0, "injected per-sensor NaN-reading probability")
+		fSolver    = fs.Float64("fault-solver", 0, "injected per-solve forced non-convergence probability")
+		fAttempts  = fs.Int("fault-solver-attempts", 1, "forced failures per hit solve (above -retries makes the scenario skip)")
+		outPath    = fs.String("out", "", "also write results to this file")
+		metricsOut = fs.String("metrics-out", "", "write a JSON telemetry snapshot to this file on exit")
+		httpAddr   = fs.String("http", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. localhost:6060)")
+		progress   = fs.Duration("progress", 0, "print a telemetry heartbeat to stderr at this interval (e.g. 10s; 0 = off)")
 	)
 	technique := aquascale.TechniqueHybridRSL
-	flag.TextVar(&technique, "technique", technique, "profile classifier for fusion experiments")
-	flag.Parse()
+	fs.TextVar(&technique, "technique", technique, "profile classifier for fusion experiments")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *list {
 		for _, id := range aquascale.ExperimentIDs() {
-			fmt.Println(id)
+			if _, err := fmt.Fprintln(stdout, id); err != nil {
+				return err
+			}
 		}
 		return nil
 	}
@@ -89,14 +95,14 @@ func run() error {
 		}()
 	}
 
-	var out io.Writer = os.Stdout
+	out := stdout
 	if *outPath != "" {
 		f, err := os.Create(*outPath)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		out = io.MultiWriter(os.Stdout, f)
+		out = io.MultiWriter(stdout, f)
 	}
 
 	scale := aquascale.ExperimentScale{
@@ -106,7 +112,6 @@ func run() error {
 		Technique:     technique,
 		Workers:       *workers,
 		Retries:       *retries,
-		FailFast:      *failFast,
 		Faults: aquascale.FaultConfig{
 			Dropout:            *fDropout,
 			Stuck:              *fStuck,
@@ -145,8 +150,10 @@ func run() error {
 		// The figure ran inside its telemetry span; report that span's
 		// measurement so this line and the metrics JSON agree exactly.
 		elapsed := reg.SpanStats(aquascale.ExperimentSpanName(id)).Last()
-		fmt.Fprintf(out, "[%s completed in %v, workers=%d]\n\n",
-			id, elapsed.Round(time.Millisecond), effectiveWorkers)
+		if _, err := fmt.Fprintf(out, "[%s completed in %v, workers=%d]\n\n",
+			id, elapsed.Round(time.Millisecond), effectiveWorkers); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -144,7 +144,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		shutdown func(context.Context) error
 	)
 	if *fleetPath != "" {
-		fleet, err := buildFleet(*fleetPath, *netName, *iotPct, *seed, cfg, out)
+		fleet, err := buildFleet(*fleetPath, fleetDistrict{Net: *netName, IoT: *iotPct, Seed: *seed}, cfg, out)
 		if err != nil {
 			return err
 		}
@@ -249,48 +249,62 @@ func buildSystem(netName string, iotPct float64, seed int64, profilePath string)
 	return &builtSystem{sys: sys, nw: nw, profile: profile, sensors: factory.SensorCount()}, nil
 }
 
-// fleetManifest is the -fleet JSON schema: one entry per district, with
-// net/iot/seed defaulting to the daemon's flags when omitted.
-type fleetManifest struct {
-	Districts []struct {
-		ID      string  `json:"id"`
-		Profile string  `json:"profile"`
-		Net     string  `json:"net"`
-		IoT     float64 `json:"iot"`
-		Seed    int64   `json:"seed"`
-	} `json:"districts"`
+// fleetDistrict is one -fleet manifest entry.
+type fleetDistrict struct {
+	ID      string  `json:"id"`
+	Profile string  `json:"profile"`
+	Net     string  `json:"net"`
+	IoT     float64 `json:"iot"`
+	Seed    int64   `json:"seed"`
+}
+
+// parseFleetManifest decodes a -fleet manifest and checks it whole before
+// anything is built: it needs at least one district and a profile for
+// each. Omitted net/iot/seed take def's values; unknown fields are
+// ignored.
+func parseFleetManifest(raw []byte, def fleetDistrict) ([]fleetDistrict, error) {
+	var m struct {
+		Districts []fleetDistrict `json:"districts"`
+	}
+	if err := json.Unmarshal(raw, &m); err != nil {
+		return nil, err
+	}
+	if len(m.Districts) == 0 {
+		return nil, fmt.Errorf("no districts")
+	}
+	for i := range m.Districts {
+		d := &m.Districts[i]
+		if d.Profile == "" {
+			return nil, fmt.Errorf("district %q has no profile", d.ID)
+		}
+		if d.Net == "" {
+			d.Net = def.Net
+		}
+		if d.IoT == 0 {
+			d.IoT = def.IoT
+		}
+		if d.Seed == 0 {
+			d.Seed = def.Seed
+		}
+	}
+	return m.Districts, nil
 }
 
 // buildFleet reads a fleet manifest, rebuilds every district's deployment
 // and starts the fleet over the shared worker budget, printing one
 // summary line per district.
-func buildFleet(path, defNet string, defIoT float64, defSeed int64, cfg aquascale.ServeConfig, out io.Writer) (*aquascale.Fleet, error) {
+func buildFleet(path string, def fleetDistrict, cfg aquascale.ServeConfig, out io.Writer) (*aquascale.Fleet, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var m fleetManifest
-	if err := json.Unmarshal(raw, &m); err != nil {
+	manifest, err := parseFleetManifest(raw, def)
+	if err != nil {
 		return nil, fmt.Errorf("fleet manifest %s: %w", path, err)
 	}
-	if len(m.Districts) == 0 {
-		return nil, fmt.Errorf("fleet manifest %s: no districts", path)
-	}
 
-	districts := make([]aquascale.FleetDistrict, 0, len(m.Districts))
-	for _, d := range m.Districts {
-		if d.Net == "" {
-			d.Net = defNet
-		}
-		if d.IoT == 0 {
-			d.IoT = defIoT
-		}
-		if d.Seed == 0 {
-			d.Seed = defSeed
-		}
-		if d.Profile == "" {
-			return nil, fmt.Errorf("fleet manifest %s: district %q has no profile", path, d.ID)
-		}
+	districts := make([]aquascale.FleetDistrict, 0, len(manifest))
+	for _, d := range manifest {
 		built, err := buildSystem(d.Net, d.IoT, d.Seed, d.Profile)
 		if err != nil {
 			return nil, fmt.Errorf("district %q: %w", d.ID, err)

@@ -9,8 +9,10 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -42,22 +44,27 @@ func (l *leakSpecs) Set(v string) error {
 }
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "aquaflood:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run is the command body; it writes the report to out and returns the
+// first error, a failed write to out included.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("aquaflood", flag.ContinueOnError)
 	var (
-		netName  = flag.String("net", "wssc", "network: epanet, wssc or test")
-		duration = flag.Duration("duration", 2*time.Hour, "flood simulation span")
-		cell     = flag.Float64("cell", 40, "DEM cell size in meters")
-		rough    = flag.Float64("rough", 0.25, "DEM micro-topography roughness std in meters")
+		netName  = fs.String("net", "wssc", "network: epanet, wssc or test")
+		duration = fs.Duration("duration", 2*time.Hour, "flood simulation span")
+		cell     = fs.Float64("cell", 40, "DEM cell size in meters")
+		rough    = fs.Float64("rough", 0.25, "DEM micro-topography roughness std in meters")
 		leaks    leakSpecs
 	)
-	flag.Var(&leaks, "leak", "leak NODE:SIZE (repeatable); SIZE is EC in m^3/s per m^0.5")
-	flag.Parse()
+	fs.Var(&leaks, "leak", "leak NODE:SIZE (repeatable); SIZE is EC in m^3/s per m^0.5")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if len(leaks) == 0 {
 		return fmt.Errorf("at least one -leak NODE:SIZE is required")
 	}
@@ -96,12 +103,15 @@ func run() error {
 		return err
 	}
 	dem.AddRoughness(*rough, 5)
+	// A bufio.Writer keeps the first write error, so the one Flush below
+	// reports a lost report.
+	w := bufio.NewWriter(out)
 	var sources []aquascale.FloodSource
-	fmt.Println("leak discharge (pressure-dependent, eq. 1):")
+	fmt.Fprintln(w, "leak discharge (pressure-dependent, eq. 1):")
 	for _, e := range emitters {
 		q := res.EmitterFlow[e.Node]
 		node := net.Nodes[e.Node]
-		fmt.Printf("  %s: %.1f L/s at %.1f m pressure head\n", node.ID, q*1000, res.Pressure[e.Node])
+		fmt.Fprintf(w, "  %s: %.1f L/s at %.1f m pressure head\n", node.ID, q*1000, res.Pressure[e.Node])
 		sources = append(sources, aquascale.FloodSource{
 			X: node.X, Y: node.Y,
 			Rate: func(time.Duration) float64 { return q },
@@ -112,17 +122,17 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nafter %v:\n", *duration)
-	fmt.Printf("  released volume:     %.0f m3\n", sim.InflowVolume)
-	fmt.Printf("  flooded area >1 cm:  %.0f m2\n", sim.FloodedArea(dem, 0.01))
-	fmt.Printf("  flooded area >10 cm: %.0f m2\n", sim.FloodedArea(dem, 0.10))
+	fmt.Fprintf(w, "\nafter %v:\n", *duration)
+	fmt.Fprintf(w, "  released volume:     %.0f m3\n", sim.InflowVolume)
+	fmt.Fprintf(w, "  flooded area >1 cm:  %.0f m2\n", sim.FloodedArea(dem, 0.01))
+	fmt.Fprintf(w, "  flooded area >10 cm: %.0f m2\n", sim.FloodedArea(dem, 0.10))
 
-	fmt.Println("\nmax-depth map ('.': <1cm, ':': <5cm, '*': <20cm, '#': >=20cm):")
-	printDepthMap(dem, sim)
-	return nil
+	fmt.Fprintln(w, "\nmax-depth map ('.': <1cm, ':': <5cm, '*': <20cm, '#': >=20cm):")
+	printDepthMap(w, dem, sim)
+	return w.Flush()
 }
 
-func printDepthMap(dem *aquascale.DEM, sim *aquascale.FloodResult) {
+func printDepthMap(w io.Writer, dem *aquascale.DEM, sim *aquascale.FloodResult) {
 	const maxW, maxH = 70, 30
 	stepX := (dem.Width + maxW - 1) / maxW
 	stepY := (dem.Height + maxH - 1) / maxH
@@ -156,6 +166,6 @@ func printDepthMap(dem *aquascale.DEM, sim *aquascale.FloodResult) {
 				sb.WriteByte(' ')
 			}
 		}
-		fmt.Println(strings.TrimRight(sb.String(), " "))
+		fmt.Fprintln(w, strings.TrimRight(sb.String(), " "))
 	}
 }

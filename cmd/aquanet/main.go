@@ -12,8 +12,10 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"sort"
@@ -23,21 +25,26 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "aquanet:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run is the command body; it writes the report to out and returns the
+// first error, a failed write to out included.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("aquanet", flag.ContinueOnError)
 	var (
-		netName = flag.String("net", "epanet", "network: epanet, wssc, test, or a path to an INP file")
-		stats   = flag.Bool("stats", false, "print element counts and pipe statistics")
-		check   = flag.Bool("check", false, "validate and run a hydraulic health check")
-		showMap = flag.Bool("map", false, "draw an ASCII plan of the network (the paper's Fig 5)")
-		export  = flag.String("export", "", "write the network as an INP file")
+		netName = fs.String("net", "epanet", "network: epanet, wssc, test, or a path to an INP file")
+		stats   = fs.Bool("stats", false, "print element counts and pipe statistics")
+		check   = fs.Bool("check", false, "validate and run a hydraulic health check")
+		showMap = fs.Bool("map", false, "draw an ASCII plan of the network (the paper's Fig 5)")
+		export  = fs.String("export", "", "write the network as an INP file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if !*stats && !*check && !*showMap && *export == "" {
 		*stats = true
 	}
@@ -46,16 +53,23 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	// A bufio.Writer keeps the first write error, so one Flush reports a
+	// lost report.
+	w := bufio.NewWriter(out)
 	if *stats {
-		printStats(net)
+		printStats(w, net)
 	}
 	if *check {
-		if err := healthCheck(net); err != nil {
+		if err := healthCheck(w, net); err != nil {
+			w.Flush()
 			return err
 		}
 	}
 	if *showMap {
-		printMap(net)
+		printMap(w, net)
+	}
+	if err := w.Flush(); err != nil {
+		return err
 	}
 	if *export != "" {
 		f, err := os.Create(*export)
@@ -69,7 +83,9 @@ func run() error {
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s\n", *export)
+		if _, err := fmt.Fprintf(out, "wrote %s\n", *export); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -91,13 +107,13 @@ func loadNetwork(name string) (*aquascale.Network, error) {
 	return aquascale.ReadINP(f)
 }
 
-func printStats(net *aquascale.Network) {
-	fmt.Printf("network: %s\n", net.Name)
-	fmt.Printf("  nodes:      %d (%d junctions, %d reservoirs, %d tanks)\n",
+func printStats(w io.Writer, net *aquascale.Network) {
+	fmt.Fprintf(w, "network: %s\n", net.Name)
+	fmt.Fprintf(w, "  nodes:      %d (%d junctions, %d reservoirs, %d tanks)\n",
 		len(net.Nodes), net.JunctionCount(), net.ReservoirCount(), net.TankCount())
-	fmt.Printf("  links:      %d (%d pipes, %d pumps, %d valves)\n",
+	fmt.Fprintf(w, "  links:      %d (%d pipes, %d pumps, %d valves)\n",
 		len(net.Links), net.PipeCount(), net.PumpCount(), net.ValveCount())
-	fmt.Printf("  base demand: %.1f L/s total\n", net.TotalBaseDemand()*1000)
+	fmt.Fprintf(w, "  base demand: %.1f L/s total\n", net.TotalBaseDemand()*1000)
 
 	// Pipe statistics.
 	var lengths, diameters []float64
@@ -112,8 +128,8 @@ func printStats(net *aquascale.Network) {
 		totalLen += l.Length
 	}
 	if len(lengths) > 0 {
-		fmt.Printf("  pipe length: %.1f km total, median %.0f m\n", totalLen/1000, median(lengths))
-		fmt.Printf("  diameters:   %.0f-%.0f mm, median %.0f mm\n",
+		fmt.Fprintf(w, "  pipe length: %.1f km total, median %.0f m\n", totalLen/1000, median(lengths))
+		fmt.Fprintf(w, "  diameters:   %.0f-%.0f mm, median %.0f mm\n",
 			minOf(diameters)*1000, maxOf(diameters)*1000, median(diameters)*1000)
 	}
 
@@ -129,7 +145,7 @@ func printStats(net *aquascale.Network) {
 		}
 	}
 	loops := len(net.Links) - (len(net.Nodes) - 1)
-	fmt.Printf("  topology:    mean degree %.2f, max %d, %d independent loops, connected=%v\n",
+	fmt.Fprintf(w, "  topology:    mean degree %.2f, max %d, %d independent loops, connected=%v\n",
 		mean(degrees), maxDeg, loops, g.Connected())
 
 	// Elevation range.
@@ -138,14 +154,14 @@ func printStats(net *aquascale.Network) {
 		minE = math.Min(minE, net.Nodes[i].Elevation)
 		maxE = math.Max(maxE, net.Nodes[i].Elevation)
 	}
-	fmt.Printf("  elevations:  %.1f-%.1f m\n", minE, maxE)
+	fmt.Fprintf(w, "  elevations:  %.1f-%.1f m\n", minE, maxE)
 }
 
-func healthCheck(net *aquascale.Network) error {
+func healthCheck(w io.Writer, net *aquascale.Network) error {
 	if err := net.Validate(); err != nil {
 		return fmt.Errorf("validation: %w", err)
 	}
-	fmt.Println("validation: ok")
+	fmt.Fprintln(w, "validation: ok")
 
 	solver, err := aquascale.NewSolver(net, aquascale.SolverOptions{})
 	if err != nil {
@@ -169,16 +185,16 @@ func healthCheck(net *aquascale.Network) error {
 				low++
 			}
 		}
-		fmt.Printf("hydraulics at %v: converged in %d iterations, %d junctions below 15 m\n",
+		fmt.Fprintf(w, "hydraulics at %v: converged in %d iterations, %d junctions below 15 m\n",
 			at, res.Iterations, low)
 	}
-	fmt.Printf("worst junction pressure: %.1f m at %s\n", worstP, worstID)
+	fmt.Fprintf(w, "worst junction pressure: %.1f m at %s\n", worstP, worstID)
 	return nil
 }
 
 // printMap draws the node layout: o junction, R reservoir, T tank, with
 // P/V marking pump/valve midpoints.
-func printMap(net *aquascale.Network) {
+func printMap(w io.Writer, net *aquascale.Network) {
 	const cols, rows = 78, 26
 	minX, maxX := math.Inf(1), math.Inf(-1)
 	minY, maxY := math.Inf(1), math.Inf(-1)
@@ -233,13 +249,13 @@ func printMap(net *aquascale.Network) {
 			plot(n.X, n.Y, 'o')
 		}
 	}
-	fmt.Printf("plan of %s (o junction, R reservoir, T tank, P pump, V valve):\n", net.Name)
+	fmt.Fprintf(w, "plan of %s (o junction, R reservoir, T tank, P pump, V valve):\n", net.Name)
 	for _, row := range grid {
 		line := string(row)
 		for len(line) > 0 && line[len(line)-1] == ' ' {
 			line = line[:len(line)-1]
 		}
-		fmt.Println(line)
+		fmt.Fprintln(w, line)
 	}
 }
 

@@ -56,7 +56,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		maxLeaks   = fs.Int("max-leaks", 5, "maximum concurrent leak events")
 		seed       = fs.Int64("seed", 1, "random seed")
 		retries    = fs.Int("retries", 0, "solver retry budget on non-convergence (stepped relaxation + warm restart; 0 = no retry)")
-		failFast   = fs.Bool("fail-fast", false, "abort dataset generation on the first failed scenario instead of skipping it")
 		fDropout   = fs.Float64("fault-dropout", 0, "injected per-sensor dropout probability (reading lost, sanitized to a neutral feature)")
 		fStuck     = fs.Float64("fault-stuck", 0, "injected per-sensor stuck-at probability (sensor repeats its pre-leak reading)")
 		fNaN       = fs.Float64("fault-nan", 0, "injected per-sensor NaN-reading probability")
@@ -130,10 +129,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 
 	leakCfg := aquascale.LeakGeneratorConfig{MinEvents: *minLeaks, MaxEvents: *maxLeaks}
 	factory, err := aquascale.NewFactory(net, sensors, aquascale.DatasetConfig{
-		Noise:    aquascale.DefaultSensorNoise,
-		Leaks:    leakCfg,
-		Retry:    aquascale.RetryPolicy{MaxRetries: *retries},
-		FailFast: *failFast,
+		Noise: aquascale.DefaultSensorNoise,
+		Leaks: leakCfg,
+		Retry: aquascale.RetryPolicy{MaxRetries: *retries},
 		Faults: aquascale.FaultConfig{
 			Dropout:            *fDropout,
 			Stuck:              *fStuck,
@@ -212,7 +210,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		sc := gen.Next()
 		sample, err := sess.FromScenario(sc, evalRng)
 		if err != nil {
-			if !*failFast && errors.Is(err, aquascale.ErrNotConverged) {
+			if errors.Is(err, aquascale.ErrNotConverged) {
 				skippedEval++
 				continue
 			}

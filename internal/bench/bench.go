@@ -54,10 +54,6 @@ type Scale struct {
 	// Retries is the solver retry budget on non-convergence (stepped
 	// relaxation + warm restart). Zero disables retry.
 	Retries int
-
-	// FailFast aborts experiments on the first failed scenario instead of
-	// skipping it — the historical behavior.
-	FailFast bool
 }
 
 func (s Scale) withDefaults() Scale {

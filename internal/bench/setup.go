@@ -1,10 +1,9 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
 	"time"
 
 	"github.com/aquascale/aquascale/internal/core"
@@ -13,6 +12,7 @@ import (
 	"github.com/aquascale/aquascale/internal/leak"
 	"github.com/aquascale/aquascale/internal/mlearn"
 	"github.com/aquascale/aquascale/internal/network"
+	"github.com/aquascale/aquascale/internal/par"
 	"github.com/aquascale/aquascale/internal/sensor"
 )
 
@@ -47,16 +47,15 @@ func (tb *testbed) sensorsAtPercent(pct float64, seed int64) ([]sensor.Sensor, e
 }
 
 // factoryFor builds a data factory over the given sensors, threading the
-// scale's robustness knobs (fault injection, retry budget, fail-fast) into
+// scale's robustness knobs (fault injection, retry budget) into
 // the factory config. A zero-valued Scale robustness section reproduces
 // the historical factory exactly.
 func (tb *testbed) factoryFor(sensors []sensor.Sensor, leakCfg leak.GeneratorConfig, scale Scale) (*dataset.Factory, error) {
 	return dataset.NewFactory(tb.net, sensors, dataset.Config{
-		Noise:    sensor.DefaultNoise,
-		Leaks:    leakCfg,
-		Retry:    hydraulic.RetryPolicy{MaxRetries: scale.Retries},
-		Faults:   scale.Faults,
-		FailFast: scale.FailFast,
+		Noise:  sensor.DefaultNoise,
+		Leaks:  leakCfg,
+		Retry:  hydraulic.RetryPolicy{MaxRetries: scale.Retries},
+		Faults: scale.Faults,
 	})
 }
 
@@ -95,13 +94,7 @@ func evalProfile(factory *dataset.Factory, profile *core.Profile, net *network.N
 		seeds[i] = rng.Int63()
 	}
 
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > count {
-		workers = count
-	}
-	sessions := make([]*dataset.Session, workers)
+	sessions := make([]*dataset.Session, par.Workers(workers, count))
 	for w := range sessions {
 		sess, err := factory.NewSession()
 		if err != nil {
@@ -113,33 +106,19 @@ func evalProfile(factory *dataset.Factory, profile *core.Profile, net *network.N
 	preds := make([][]int, count)
 	truths := make([][]int, count)
 	errs := make([]error, count)
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(sess *dataset.Session) {
-			defer wg.Done()
-			for i := range work {
-				sample, err := sess.FromScenario(scenarios[i], rand.New(rand.NewSource(seeds[i])))
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				pred, err := profile.Predict(sample.Features)
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				preds[i] = pred
-				truths[i] = scenarios[i].Labels(len(net.Nodes))
+	work := make([]func(int), len(sessions))
+	for w, sess := range sessions {
+		work[w] = func(i int) {
+			sample, err := sess.FromScenario(scenarios[i], rand.New(rand.NewSource(seeds[i])))
+			if err != nil {
+				errs[i] = err
+				return
 			}
-		}(sessions[w])
+			preds[i], errs[i] = profile.Predict(sample.Features)
+			truths[i] = scenarios[i].Labels(len(net.Nodes))
+		}
 	}
-	for i := 0; i < count; i++ {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
+	par.Each(context.Background(), count, work)
 	for _, err := range errs {
 		if err != nil {
 			return 0, err

@@ -5,14 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
 	"time"
 
 	"github.com/aquascale/aquascale/internal/dataset"
 	"github.com/aquascale/aquascale/internal/hydraulic"
 	"github.com/aquascale/aquascale/internal/leak"
 	"github.com/aquascale/aquascale/internal/mlearn"
+	"github.com/aquascale/aquascale/internal/par"
 	"github.com/aquascale/aquascale/internal/social"
 	"github.com/aquascale/aquascale/internal/telemetry"
 )
@@ -81,7 +80,7 @@ func (s *System) observeWith(o *observer, sc ColdScenario, opt ObserveOptions, r
 	}
 	sample, err := o.session.FromScenarioAt(sc.Scenario, opt.ElapsedSlots, rng)
 	if err != nil {
-		return Observation{}, scenarioRetries(err), err
+		return Observation{}, 0, err
 	}
 	obs := Observation{Features: sample.Features}
 	if opt.Sources.Weather {
@@ -114,26 +113,6 @@ func (s *System) observeWith(o *observer, sc ColdScenario, opt ObserveOptions, r
 		obs.Cliques = social.BuildCliques(s.net, reports, opt.GammaM, pe)
 	}
 	return obs, sample.Retries, nil
-}
-
-// scenarioRetries extracts the retry count carried by a
-// dataset.ScenarioError (0 for any other error).
-func scenarioRetries(err error) int {
-	var se *dataset.ScenarioError
-	if errors.As(err, &se) {
-		return se.Retries
-	}
-	return 0
-}
-
-// scenarioSteps extracts the retry ladder carried by a
-// dataset.ScenarioError (nil for any other error).
-func scenarioSteps(err error) []hydraulic.RetryStep {
-	var se *dataset.ScenarioError
-	if errors.As(err, &se) {
-		return se.Steps
-	}
-	return nil
 }
 
 // evaluateScenario runs the full Phase-II pipeline on one pre-drawn cold
@@ -218,15 +197,9 @@ func (s *System) EvaluateParallelContext(ctx context.Context, count int, leakCfg
 		seeds[i] = rng.Int63()
 	}
 
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > count {
-		workers = count
-	}
 	// Per-worker observers are built before spawning so a solver or
 	// generator construction failure is one deterministic error.
-	observers := make([]*observer, workers)
+	observers := make([]*observer, par.Workers(workers, count))
 	for w := range observers {
 		o, err := s.newObserver()
 		if err != nil {
@@ -239,68 +212,42 @@ func (s *System) EvaluateParallelContext(ctx context.Context, count int, leakCfg
 	added := make([]int, count)
 	retries := make([]int, count)
 	errs := make([]error, count)
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(o *observer) {
-			defer wg.Done()
-			var busy time.Duration
-			timed := met.workerBusy != nil
-			for i := range work {
-				var t0 time.Time
-				if timed {
-					t0 = time.Now()
-				}
-				scores[i], added[i], retries[i], errs[i] =
-					s.evaluateScenario(o, scenarios[i], opt, met, rand.New(rand.NewSource(seeds[i])))
-				if timed {
-					busy += time.Since(t0)
-				}
-				met.scenarios.Inc()
+	work := make([]func(int), len(observers))
+	for w, o := range observers {
+		work[w] = func(i int) {
+			var t0 time.Time
+			if met.workerBusy != nil {
+				t0 = time.Now()
 			}
-			met.workerBusy.Add(busy.Seconds())
-		}(observers[w])
-	}
-	// Dispatch observes ctx between scenarios: on cancellation no further
-	// scenario starts, in-flight ones finish, and the reduction below only
-	// covers what was dispatched.
-	dispatched := count
-dispatch:
-	for i := 0; i < count; i++ {
-		select {
-		case work <- i:
-		case <-ctx.Done():
-			dispatched = i
-			break dispatch
+			scores[i], added[i], retries[i], errs[i] =
+				s.evaluateScenario(o, scenarios[i], opt, met, rand.New(rand.NewSource(seeds[i])))
+			if met.workerBusy != nil {
+				met.workerBusy.Add(time.Since(t0).Seconds())
+			}
+			met.scenarios.Inc()
 		}
 	}
-	close(work)
-	wg.Wait()
+	dispatched := par.Each(ctx, count, work)
 
 	// Reduce in scenario order so errors, the skip report, and the float
 	// sum are all order-stable regardless of worker scheduling. A scenario
-	// whose solve still fails after retries is skipped and recorded unless
-	// FailFast restores the historical first-error-aborts behavior; any
-	// error other than non-convergence aborts either way.
+	// whose solve still fails after retries is skipped and recorded; any
+	// other error aborts.
 	total, humanAdded, totalRetries := 0.0, 0, 0
-	var skipped []SkippedScenario
+	var skipped []dataset.SkippedScenario
 	for i, err := range errs[:dispatched] {
-		totalRetries += retries[i]
 		if err == nil {
 			total += scores[i]
 			humanAdded += added[i]
+			totalRetries += retries[i]
 			continue
 		}
-		if opt.FailFast || !errors.Is(err, hydraulic.ErrNotConverged) {
+		if !errors.Is(err, hydraulic.ErrNotConverged) {
 			return EvalResult{}, err
 		}
-		skipped = append(skipped, SkippedScenario{
-			Index:   i,
-			Err:     err,
-			Retries: retries[i],
-			Trace:   dataset.RetryTrace(fmt.Sprintf("scenario-%d", i), scenarioSteps(err), err),
-		})
+		rec := dataset.SkipRecord(i, scenarios[i].Scenario, err)
+		totalRetries += rec.Retries
+		skipped = append(skipped, rec)
 	}
 	met.retries.Add(int64(totalRetries))
 	met.skipped.Add(int64(len(skipped)))

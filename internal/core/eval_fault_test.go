@@ -132,21 +132,6 @@ func TestEvaluateParallelSkipsAndAccounts(t *testing.T) {
 	}
 }
 
-// TestEvaluateParallelFailFast pins the opt-in historical behavior: the
-// first failure aborts the evaluation.
-func TestEvaluateParallelFailFast(t *testing.T) {
-	sys := faultySystem(t, faults.Config{SolverFail: 0.3, SolverFailAttempts: 1}, 0)
-	leakCfg := leak.GeneratorConfig{MinEvents: 1, MaxEvents: 2}
-	opt := ObserveOptions{ElapsedSlots: 1, FailFast: true}
-	_, err := sys.EvaluateParallel(40, leakCfg, opt, 2, rand.New(rand.NewSource(41)))
-	if err == nil {
-		t.Fatal("FailFast should abort on the first failed scenario")
-	}
-	if !errors.Is(err, hydraulic.ErrNotConverged) {
-		t.Fatalf("err = %v, want ErrNotConverged", err)
-	}
-}
-
 // TestEvaluateParallelRecoversWithBudget checks that a retry budget at the
 // forced-failure depth recovers every hit scenario: nothing skips and the
 // retry total is visible in the result.

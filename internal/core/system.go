@@ -280,12 +280,6 @@ type ObserveOptions struct {
 	// GammaM is the tweet coarseness γ in meters. Zero means 30 (the
 	// paper's default for the fusion experiments).
 	GammaM float64
-
-	// FailFast makes EvaluateParallel abort on the first scenario whose
-	// hydraulic solve fails after retries — the historical behavior. By
-	// default such scenarios are skipped and recorded in
-	// EvalResult.Skipped so long sweeps survive individual failures.
-	FailFast bool
 }
 
 // Freeze-burst detection rates for the pressure-pattern analyzer (the
@@ -319,25 +313,6 @@ func (s *System) Observe(sc ColdScenario, opt ObserveOptions, rng *rand.Rand) (O
 	return obs, err
 }
 
-// SkippedScenario records one evaluation scenario dropped after solver
-// retry exhaustion.
-type SkippedScenario struct {
-	// Index is the scenario's position in the evaluation order.
-	Index int
-
-	// Err is the terminal solve error (errors.Is-compatible with
-	// hydraulic.ErrNotConverged).
-	Err error
-
-	// Retries is the retry budget consumed before the skip.
-	Retries int
-
-	// Trace replays the scenario's solver retry ladder (relaxation
-	// factor, warm/cold restart, injection provenance per re-attempt) so
-	// fault-tolerance reports name the exact retry sequence.
-	Trace *telemetry.TraceSnapshot
-}
-
 // EvalResult summarizes an evaluation run.
 type EvalResult struct {
 	// MeanHamming is the paper's headline metric, averaged over the
@@ -359,7 +334,6 @@ type EvalResult struct {
 	Retries int
 
 	// Skipped lists scenarios dropped after retry exhaustion, in
-	// evaluation order. Empty on clean runs and always empty under
-	// ObserveOptions.FailFast.
-	Skipped []SkippedScenario
+	// evaluation order. Empty on clean runs.
+	Skipped []dataset.SkippedScenario
 }

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sync"
 	"time"
 
@@ -32,6 +31,7 @@ import (
 	"github.com/aquascale/aquascale/internal/hydraulic"
 	"github.com/aquascale/aquascale/internal/leak"
 	"github.com/aquascale/aquascale/internal/network"
+	"github.com/aquascale/aquascale/internal/par"
 	"github.com/aquascale/aquascale/internal/sensor"
 	"github.com/aquascale/aquascale/internal/telemetry"
 )
@@ -68,12 +68,6 @@ type Config struct {
 	// drawn from a stream derived from each scenario's seed. The zero
 	// value injects nothing and leaves every random stream untouched.
 	Faults faults.Config
-
-	// FailFast makes Generate abort on the first failed scenario, the
-	// historical behavior. By default a scenario whose solve still fails
-	// after retries is skipped and recorded in Dataset.Skipped instead
-	// of discarding the whole run.
-	FailFast bool
 }
 
 func (c Config) withDefaults() Config {
@@ -132,9 +126,10 @@ func (e *ScenarioError) Error() string {
 func (e *ScenarioError) Unwrap() error { return e.Err }
 
 // SkippedScenario records one scenario dropped from a generated dataset
-// after retry exhaustion.
+// or an evaluation run after retry exhaustion.
 type SkippedScenario struct {
-	// Index is the scenario's position in generation order.
+	// Index is the scenario's position in generation or evaluation
+	// order.
 	Index int
 
 	// Scenario is the failing scenario itself, so callers can re-run or
@@ -161,8 +156,7 @@ type Dataset struct {
 	Junctions []int // junction node indices labeling the output columns
 
 	// Skipped lists scenarios dropped after retry exhaustion, in
-	// generation order. Empty on clean runs and always empty under
-	// Config.FailFast.
+	// generation order. Empty on clean runs.
 	Skipped []SkippedScenario
 }
 
@@ -514,11 +508,9 @@ func (f *Factory) noisyBaseline(baseTruth []float64, rng *rand.Rand) []float64 {
 //
 // A scenario whose hydraulic solve still fails after the configured
 // retries is skipped and recorded in Dataset.Skipped (in generation
-// order) instead of aborting the run — unless Config.FailFast is set,
-// which restores the historical first-error-aborts behavior. Only
-// non-convergence is skippable; any other error (a programming or data
-// defect) aborts either way. Generate fails outright if every scenario
-// is skipped.
+// order) instead of aborting the run. Only non-convergence is
+// skippable; any other error (a programming or data defect) aborts.
+// Generate fails outright if every scenario is skipped.
 func (f *Factory) Generate(count int, rng *rand.Rand) (*Dataset, error) {
 	return f.GenerateContext(context.Background(), count, rng)
 }
@@ -534,69 +526,17 @@ func (f *Factory) GenerateContext(ctx context.Context, count int, rng *rand.Rand
 	if count <= 0 {
 		return nil, fmt.Errorf("dataset: non-positive sample count %d", count)
 	}
-	gen, err := leak.NewGenerator(f.net, f.cfg.Leaks, rng)
+	scenarios, seeds, err := f.drawScenarios(count, rng)
 	if err != nil {
 		return nil, err
 	}
-	scenarios := gen.Batch(count)
-	seeds := make([]int64, count)
-	for i := range seeds {
-		seeds[i] = rng.Int63()
+	sessions, err := f.newSessions(par.Workers(0, count))
+	if err != nil {
+		return nil, err
 	}
+	samples, errs, dispatched := buildSamples(ctx, sessions, scenarios, seeds)
 
-	samples := make([]Sample, count)
-	errs := make([]error, count)
-	workers := runtime.NumCPU()
-	if workers > count {
-		workers = count
-	}
-	// Per-worker sessions are constructed up front so a solver-construction
-	// failure surfaces here as one deterministic error, instead of being
-	// smeared over whichever work items the broken worker happened to drain
-	// (which made error attribution scheduling-dependent).
-	sessions := make([]*Session, workers)
-	for w := range sessions {
-		sess, err := f.NewSession()
-		if err != nil {
-			return nil, err
-		}
-		sessions[w] = sess
-	}
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(sess *Session) {
-			defer wg.Done()
-			for i := range work {
-				noiseRng := rand.New(rand.NewSource(seeds[i]))
-				samples[i], errs[i] = sess.FromScenarioAt(scenarios[i], f.cfg.ElapsedSlots, noiseRng)
-			}
-		}(sessions[w])
-	}
-	// Dispatch observes ctx between scenarios: on cancellation no further
-	// scenario starts, in-flight solves finish, and the reduction below
-	// only covers what was dispatched.
-	dispatched := count
-dispatch:
-	for i := 0; i < count; i++ {
-		// A select with a ready worker and a done ctx picks either case
-		// at random, so check ctx first: a cancelled run starts nothing.
-		if ctx.Err() != nil {
-			dispatched = i
-			break
-		}
-		select {
-		case work <- i:
-		case <-ctx.Done():
-			dispatched = i
-			break dispatch
-		}
-	}
-	close(work)
-	wg.Wait()
-
-	// Reduce in scenario order so both the fail-fast error and the skip
+	// Reduce in scenario order so both the aborting error and the skip
 	// report are deterministic for any worker scheduling. Kept samples
 	// are filtered in place.
 	kept := samples[:0]
@@ -606,23 +546,10 @@ dispatch:
 			kept = append(kept, samples[i])
 			continue
 		}
-		if f.cfg.FailFast || !errors.Is(err, hydraulic.ErrNotConverged) {
+		if !errors.Is(err, hydraulic.ErrNotConverged) {
 			return nil, err
 		}
-		retries := 0
-		var steps []hydraulic.RetryStep
-		var se *ScenarioError
-		if errors.As(err, &se) {
-			retries = se.Retries
-			steps = se.Steps
-		}
-		skipped = append(skipped, SkippedScenario{
-			Index:    i,
-			Scenario: scenarios[i],
-			Err:      err,
-			Retries:  retries,
-			Trace:    RetryTrace(fmt.Sprintf("scenario-%d", i), steps, err),
-		})
+		skipped = append(skipped, SkipRecord(i, scenarios[i], err))
 	}
 	f.met.skipped.Add(int64(len(skipped)))
 	clear(samples[len(kept):])
@@ -634,4 +561,65 @@ dispatch:
 		return nil, fmt.Errorf("dataset: all %d scenarios failed (first: %w)", count, skipped[0].Err)
 	}
 	return &Dataset{Samples: kept, Junctions: f.Junctions(), Skipped: skipped}, nil
+}
+
+// SkipRecord builds the skip record of scenario index, whose solve
+// failed with err: the retry count and ladder come from the
+// ScenarioError err wraps (zero and nil for any other error).
+func SkipRecord(index int, sc leak.Scenario, err error) SkippedScenario {
+	rec := SkippedScenario{Index: index, Scenario: sc, Err: err}
+	var steps []hydraulic.RetryStep
+	var se *ScenarioError
+	if errors.As(err, &se) {
+		rec.Retries, steps = se.Retries, se.Steps
+	}
+	rec.Trace = RetryTrace(fmt.Sprintf("scenario-%d", index), steps, err)
+	return rec
+}
+
+// drawScenarios draws count scenarios and then one noise seed per
+// scenario from rng, serially, so what each scenario builds cannot
+// depend on worker scheduling.
+func (f *Factory) drawScenarios(count int, rng *rand.Rand) ([]leak.Scenario, []int64, error) {
+	gen, err := leak.NewGenerator(f.net, f.cfg.Leaks, rng)
+	if err != nil {
+		return nil, nil, err
+	}
+	scenarios := gen.Batch(count)
+	seeds := make([]int64, count)
+	for i := range seeds {
+		seeds[i] = rng.Int63()
+	}
+	return scenarios, seeds, nil
+}
+
+// newSessions opens one session per worker up front, so a
+// solver-construction failure surfaces as one deterministic error
+// instead of depending on which items the broken worker would drain.
+func (f *Factory) newSessions(workers int) ([]*Session, error) {
+	sessions := make([]*Session, workers)
+	for w := range sessions {
+		sess, err := f.NewSession()
+		if err != nil {
+			return nil, err
+		}
+		sessions[w] = sess
+	}
+	return sessions, nil
+}
+
+// buildSamples builds scenario i's sample from its own noise stream
+// rand.New(seeds[i]) over one worker per session. Results land at their
+// scenario's index; on cancellation only the first dispatched scenarios
+// were built.
+func buildSamples(ctx context.Context, sessions []*Session, scenarios []leak.Scenario, seeds []int64) (samples []Sample, errs []error, dispatched int) {
+	samples = make([]Sample, len(scenarios))
+	errs = make([]error, len(scenarios))
+	work := make([]func(int), len(sessions))
+	for w, sess := range sessions {
+		work[w] = func(i int) {
+			samples[i], errs[i] = sess.FromScenario(scenarios[i], rand.New(rand.NewSource(seeds[i])))
+		}
+	}
+	return samples, errs, par.Each(ctx, len(scenarios), work)
 }

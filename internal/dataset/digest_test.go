@@ -34,10 +34,9 @@ func TestConfigDigestGolden(t *testing.T) {
 				MinPressure:     2,
 				RefPressure:     25,
 			},
-			Retry:    hydraulic.RetryPolicy{MaxRetries: 2, Relaxation: 0.25},
-			Faults:   faults.Config{Dropout: 0.1, Stuck: 0.05, NaN: 0.02, SolverFail: 0.2, SolverFailAttempts: 3, RequestSlow: 0.3, RequestDelay: time.Millisecond, RequestFail: 0.01},
-			FailFast: true,
-		}, 0x2397aefbe154cc80},
+			Retry:  hydraulic.RetryPolicy{MaxRetries: 2, Relaxation: 0.25},
+			Faults: faults.Config{Dropout: 0.1, Stuck: 0.05, NaN: 0.02, SolverFail: 0.2, SolverFailAttempts: 3, RequestSlow: 0.3, RequestDelay: time.Millisecond, RequestFail: 0.01},
+		}, 0x42927604ec4416a1},
 	}
 	for _, tc := range cases {
 		if got := tc.cfg.Digest(); got != tc.want {

@@ -139,31 +139,6 @@ func TestGenerateRetryRecoversAll(t *testing.T) {
 	}
 }
 
-// TestGenerateFailFast pins the opt-in historical behavior: the first
-// failed scenario aborts the whole run.
-func TestGenerateFailFast(t *testing.T) {
-	net := network.BuildEPANet()
-	f, err := NewFactory(net, epanetSensors(t, net, 20), Config{
-		Leaks:    leak.GeneratorConfig{MinEvents: 1, MaxEvents: 2},
-		Faults:   faults.Config{SolverFail: 0.5, SolverFailAttempts: 1},
-		FailFast: true,
-	})
-	if err != nil {
-		t.Fatalf("NewFactory: %v", err)
-	}
-	_, err = f.Generate(20, rand.New(rand.NewSource(9)))
-	if err == nil {
-		t.Fatal("FailFast should abort on the first failed scenario")
-	}
-	if !errors.Is(err, hydraulic.ErrNotConverged) {
-		t.Fatalf("err = %v, want ErrNotConverged", err)
-	}
-	var se *ScenarioError
-	if !errors.As(err, &se) {
-		t.Fatalf("err = %v, want a ScenarioError carrying the retry count", err)
-	}
-}
-
 // TestGenerateAllSkippedErrors checks that a run where every scenario
 // fails returns an error instead of an empty dataset.
 func TestGenerateAllSkippedErrors(t *testing.T) {

@@ -576,7 +576,7 @@ func (c Config) Digest() uint64 {
 	f64(c.Faults.RequestSlow)
 	i64(int64(c.Faults.RequestDelay / time.Nanosecond))
 	f64(c.Faults.RequestFail)
-	b(c.FailFast)
+	b(false) // was the abort-on-first-failure option (false unless set); kept so existing digests still match
 	return h.Sum64()
 }
 

@@ -4,10 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"github.com/aquascale/aquascale/internal/matrix"
+	"github.com/aquascale/aquascale/internal/par"
 )
 
 // Prepared is a feature matrix shared by every output column fitted over
@@ -227,48 +227,31 @@ func FitColumns(ctx context.Context, px *Prepared, factory Factory, seed int64, 
 	if px.err != nil {
 		return px.err
 	}
-	errs := make([]error, hi-lo)
-	workers := runtime.NumCPU()
-	if workers > hi-lo {
-		workers = hi - lo
-	}
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ws := &workspace{labels: make([]int, len(px.x))}
-			for v := range work {
-				col := ws.labels
-				column(v, col)
-				c := factory(seed + int64(v)*31337)
-				var err error
-				if pf, ok := c.(preparedFitter); ok {
-					err = pf.fitPrepared(px, col, ws)
-				} else {
-					// A foreign classifier may keep its labels.
-					err = c.Fit(px.x, append([]int(nil), col...))
-				}
-				if err != nil {
-					errs[v-lo] = fmt.Errorf("output %d: %w", v, err)
-					continue
-				}
-				models[v] = c
+	n := hi - lo
+	errs := make([]error, n)
+	work := make([]func(int), par.Workers(0, n))
+	for w := range work {
+		ws := &workspace{labels: make([]int, len(px.x))}
+		work[w] = func(i int) {
+			v := lo + i
+			col := ws.labels
+			column(v, col)
+			c := factory(seed + int64(v)*31337)
+			var err error
+			if pf, ok := c.(preparedFitter); ok {
+				err = pf.fitPrepared(px, col, ws)
+			} else {
+				// A foreign classifier may keep its labels.
+				err = c.Fit(px.x, append([]int(nil), col...))
 			}
-		}()
-	}
-	cancelled := false
-	for v := lo; v < hi; v++ {
-		if ctx.Err() != nil {
-			cancelled = true
-			break
+			if err != nil {
+				errs[i] = fmt.Errorf("output %d: %w", v, err)
+				return
+			}
+			models[v] = c
 		}
-		work <- v
 	}
-	close(work)
-	wg.Wait()
-	if cancelled {
+	if par.Each(ctx, n, work) < n {
 		return ctx.Err()
 	}
 	for _, err := range errs {
