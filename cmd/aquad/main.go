@@ -49,6 +49,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -67,7 +68,7 @@ import (
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
+	if err := run(ctx, os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "aquad:", err)
 		os.Exit(1)
 	}
@@ -258,6 +259,15 @@ type fleetDistrict struct {
 	Seed    int64   `json:"seed"`
 }
 
+// ErrFleetManifest is wrapped by every refusal of a -fleet manifest's
+// contents: malformed JSON, no districts, a district without a profile,
+// or a file past maxManifestBytes.
+var ErrFleetManifest = errors.New("invalid fleet manifest")
+
+// maxManifestBytes caps how much of a -fleet manifest is read. A district
+// entry takes about a hundred bytes, so this leaves room for thousands.
+const maxManifestBytes = 1 << 20
+
 // parseFleetManifest decodes a -fleet manifest and checks it whole before
 // anything is built: it needs at least one district and a profile for
 // each. Omitted net/iot/seed take def's values; unknown fields are
@@ -267,15 +277,15 @@ func parseFleetManifest(raw []byte, def fleetDistrict) ([]fleetDistrict, error) 
 		Districts []fleetDistrict `json:"districts"`
 	}
 	if err := json.Unmarshal(raw, &m); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrFleetManifest, err)
 	}
 	if len(m.Districts) == 0 {
-		return nil, fmt.Errorf("no districts")
+		return nil, fmt.Errorf("%w: no districts", ErrFleetManifest)
 	}
 	for i := range m.Districts {
 		d := &m.Districts[i]
 		if d.Profile == "" {
-			return nil, fmt.Errorf("district %q has no profile", d.ID)
+			return nil, fmt.Errorf("%w: district %q has no profile", ErrFleetManifest, d.ID)
 		}
 		if d.Net == "" {
 			d.Net = def.Net
@@ -294,9 +304,9 @@ func parseFleetManifest(raw []byte, def fleetDistrict) ([]fleetDistrict, error) 
 // and starts the fleet over the shared worker budget, printing one
 // summary line per district.
 func buildFleet(path string, def fleetDistrict, cfg aquascale.ServeConfig, out io.Writer) (*aquascale.Fleet, error) {
-	raw, err := os.ReadFile(path)
+	raw, err := readManifest(path)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("fleet manifest %s: %w", path, err)
 	}
 	manifest, err := parseFleetManifest(raw, def)
 	if err != nil {
@@ -319,6 +329,24 @@ func buildFleet(path string, def fleetDistrict, cfg aquascale.ServeConfig, out i
 	}
 	fmt.Fprintf(out, "aquad: fleet of %d districts, %d workers total\n", len(fleet.Districts()), fleet.Workers())
 	return fleet, nil
+}
+
+// readManifest reads a manifest file, refusing one longer than
+// maxManifestBytes after reading at most one byte past the cap.
+func readManifest(path string) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	raw, err := io.ReadAll(io.LimitReader(f, maxManifestBytes+1))
+	if err != nil {
+		return nil, err
+	}
+	if len(raw) > maxManifestBytes {
+		return nil, fmt.Errorf("%w: larger than %d bytes", ErrFleetManifest, maxManifestBytes)
+	}
+	return raw, nil
 }
 
 func buildNetwork(name string) (*aquascale.Network, error) {

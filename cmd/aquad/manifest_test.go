@@ -1,8 +1,10 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -32,6 +34,31 @@ func TestFleetManifestCheckedBeforeBuild(t *testing.T) {
 	}
 }
 
+// TestFleetManifestSizeCap requires a manifest file far past the cap (a
+// sparse 1 GiB file) to be refused with ErrFleetManifest, allocating a
+// small multiple of the cap (io.ReadAll's growth) rather than the file.
+func TestFleetManifestSizeCap(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fleet.json")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Truncate(1 << 30); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = buildFleet(path, manifestDefaults, aquascale.ServeConfig{}, &syncBuffer{})
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrFleetManifest) {
+		t.Fatalf("buildFleet = %v, want a refusal wrapping ErrFleetManifest", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 8*maxManifestBytes {
+		t.Fatalf("refusing an over-cap manifest allocated %d bytes, cap %d", alloc, maxManifestBytes)
+	}
+}
+
 func TestParseFleetManifest(t *testing.T) {
 	got, err := parseFleetManifest([]byte(`{"districts": [
 		{"id": "north", "profile": "n.gob", "unknown": true},
@@ -48,8 +75,8 @@ func TestParseFleetManifest(t *testing.T) {
 		t.Fatalf("parsed %+v, want %+v", got, want)
 	}
 	for _, raw := range []string{``, `{}`, `{"districts": []}`, `{"districts": [{"id": "x"}]}`, `{"districts": 3}`, `[`} {
-		if d, err := parseFleetManifest([]byte(raw), manifestDefaults); err == nil || d != nil {
-			t.Fatalf("manifest %q: got %+v, %v; want a refusal", raw, d, err)
+		if d, err := parseFleetManifest([]byte(raw), manifestDefaults); !errors.Is(err, ErrFleetManifest) || d != nil {
+			t.Fatalf("manifest %q: got %+v, %v; want a refusal wrapping ErrFleetManifest", raw, d, err)
 		}
 	}
 }
@@ -76,6 +103,9 @@ func FuzzFleetManifest(f *testing.F) {
 		if err != nil {
 			if districts != nil {
 				t.Fatalf("refused manifest returned %d districts", len(districts))
+			}
+			if !errors.Is(err, ErrFleetManifest) {
+				t.Fatalf("refusal %v does not wrap ErrFleetManifest", err)
 			}
 			return
 		}

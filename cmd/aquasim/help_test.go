@@ -1,0 +1,10 @@
+package main
+
+import (
+	"testing"
+
+	"github.com/aquascale/aquascale/internal/clitest"
+)
+
+// TestHelpExitsZero requires aquasim -h to print its usage and exit 0.
+func TestHelpExitsZero(t *testing.T) { clitest.HelpExitsZero(t, main) }

@@ -16,6 +16,7 @@ package hydraulic
 import (
 	"math"
 
+	"github.com/aquascale/aquascale/internal/matrix"
 	"github.com/aquascale/aquascale/internal/network"
 )
 
@@ -27,7 +28,7 @@ const (
 	// hwExp is the Hazen-Williams flow exponent.
 	hwExp = 1.852
 
-	// hwFrac is the exponent hwPow raises |Q| to through Exp/Log:
+	// hwFrac is the exponent hwPowTo raises |Q| to through Exp/Log:
 	// float64(hwExp−1) − 1, the split math.Pow makes of the float64
 	// exponent 0.852 (exact by Sterbenz). The untyped constant hwExp−2
 	// rounds −0.148 directly and is a different float64.
@@ -69,42 +70,36 @@ type linkCoeffs struct {
 	p float64 // inverse gradient 1/(dh/dQ)
 }
 
-// evalLink computes the current headloss and inverse gradient for a link.
-// r and m are precomputed resistances (pipe/valve); pumps use the curve
-// parameters directly.
-func evalLink(l *network.Link, r, m, q float64) linkCoeffs {
-	switch l.Type {
-	case network.Pump:
-		return evalPump(l, q)
-	default:
-		return evalPipe(r, m, q)
+// hwPowTo sets hw[k] = math.Pow(aq[k], hwExp−1) bit for bit for every
+// aq[k] ≥ qSmall, +Inf and NaN, with one batched Exp: Log pass, ExpTo,
+// scaling pass. Pow computes x^0.852 as Ldexp(Exp(hwFrac·Log x)·m, e) with
+// x = m·2^e; the power-of-two scaling is exact while the result is normal,
+// which aq ≥ qSmall ensures, so multiplying by aq instead rounds
+// identically. TestPipeHeadlossPowIdentity pins this against the standard
+// library.
+func hwPowTo(hw, aq []float64) {
+	hw = hw[:len(aq)]
+	for k, a := range aq {
+		hw[k] = hwFrac * math.Log(a)
+	}
+	matrix.ExpTo(hw, hw)
+	for k, a := range aq {
+		if a == math.Inf(1) {
+			hw[k] = a // Exp(hwFrac·Log(+Inf))·(+Inf) would be 0·Inf = NaN
+			continue
+		}
+		hw[k] *= a
 	}
 }
 
-// evalPipe evaluates Hazen-Williams friction plus quadratic minor loss.
-func evalPipe(r, m, q float64) linkCoeffs {
-	aq := math.Abs(q)
-	if aq < qSmall {
-		aq = qSmall
-	}
+// pipeCoeffs evaluates Hazen-Williams friction plus quadratic minor loss
+// at flow q, given aq = max(|q|, qSmall) and hw = aq^0.852 (hwPowTo). r
+// and m are the link's precomputed resistances.
+func pipeCoeffs(r, m, q, aq, hw float64) linkCoeffs {
 	// h = r·Q·|Q|^0.852 + m·Q·|Q|; dh/dQ = 1.852·r·|Q|^0.852 + 2·m·|Q|.
-	hw := hwPow(aq)
 	grad := hwExp*r*hw + 2*m*aq
 	h := q * (r*hw + m*aq)
 	return linkCoeffs{h: h, p: 1 / grad}
-}
-
-// hwPow returns math.Pow(aq, hwExp−1) bit for bit, for aq ≥ qSmall,
-// without Pow's special-case dispatch, Modf and Frexp/Ldexp. Pow computes
-// x^0.852 as Ldexp(Exp(hwFrac·Log x)·m, e) with x = m·2^e; the power-of-two
-// scaling is exact while the result is normal, which aq ≥ qSmall ensures,
-// so multiplying by aq instead rounds identically.
-// TestPipeHeadlossPowIdentity pins this against the standard library.
-func hwPow(aq float64) float64 {
-	if aq == math.Inf(1) {
-		return aq // Exp(hwFrac·Log(+Inf))·(+Inf) would be 0·Inf = NaN
-	}
-	return aq * math.Exp(hwFrac*math.Log(aq))
 }
 
 // evalPump evaluates the pump curve as a negative headloss. Forward flow

@@ -6,26 +6,31 @@ import (
 	"testing"
 )
 
-// TestPipeHeadlossPowIdentity pins the standard-library behaviour evalPipe
-// relies on: hwPow(aq) has the bits of math.Pow(aq, hwExp-1) for every
-// flow magnitude the pipe model can present. It covers ten million
-// log-uniform |Q| in [qSmall, 1e4], both ends and 1.0 exactly, the next
-// floats around them, and +Inf; NaN must stay NaN.
+// TestPipeHeadlossPowIdentity pins the standard-library behaviour the pipe
+// linearization relies on: hwPowTo gives the bits of math.Pow(aq, hwExp-1)
+// for every flow magnitude the pipe model can present. It covers ten
+// million log-uniform |Q| in [qSmall, 1e4], both ends and 1.0 exactly, the
+// next floats around them, and +Inf; NaN must stay NaN.
 func TestPipeHeadlossPowIdentity(t *testing.T) {
-	check := func(aq float64) {
-		want := math.Pow(aq, hwExp-1)
-		if got := hwPow(aq); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("hwPow(%v) = %v (%#x), math.Pow = %v (%#x)",
-				aq, got, math.Float64bits(got), want, math.Float64bits(want))
+	check := func(aqs []float64) {
+		hw := make([]float64, len(aqs))
+		hwPowTo(hw, aqs)
+		for k, aq := range aqs {
+			want := math.Pow(aq, hwExp-1)
+			if got := hw[k]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("hwPowTo(%v) = %v (%#x), math.Pow = %v (%#x)",
+					aq, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
 		}
 	}
+	var edges []float64
 	for _, aq := range []float64{qSmall, 1, 1e4, math.MaxFloat64, math.Inf(1)} {
-		check(aq)
-		check(math.Nextafter(aq, 0))
-		check(math.Nextafter(aq, math.Inf(1)))
+		edges = append(edges, aq, math.Nextafter(aq, 0), math.Nextafter(aq, math.Inf(1)))
 	}
-	if !math.IsNaN(hwPow(math.NaN())) {
-		t.Fatal("hwPow(NaN) is not NaN")
+	check(edges)
+	nan := []float64{math.NaN()}
+	if hwPowTo(nan, nan); !math.IsNaN(nan[0]) {
+		t.Fatal("hwPowTo(NaN) is not NaN")
 	}
 	n := 10_000_000
 	if testing.Short() {
@@ -33,11 +38,15 @@ func TestPipeHeadlossPowIdentity(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(1852))
 	lo, hi := math.Log(qSmall), math.Log(1e4)
+	batch := make([]float64, 0, 1086)
 	for i := 0; i < n; i++ {
 		aq := math.Exp(lo + (hi-lo)*rng.Float64())
 		if aq < qSmall {
 			aq = qSmall
 		}
-		check(aq)
+		if batch = append(batch, aq); len(batch) == cap(batch) || i == n-1 {
+			check(batch)
+			batch = batch[:0]
+		}
 	}
 }

@@ -198,8 +198,26 @@ type Solver struct {
 	tankOrd    []int     // node index → tank ordinal, -1 otherwise
 
 	// coeffs holds each open link's linearization for the current Newton
-	// iteration: written by assembly, read back by the flow update.
+	// iteration: read by assembly and again by the flow update.
 	coeffs []linkCoeffs
+
+	// Open pipes and valves (ascending) are linearized together, so their
+	// |Q|^0.852 runs through one batched Exp (hwPowTo) with aq and hw as
+	// scratch parallel to pipes; open pumps are evaluated one by one.
+	pipes []int
+	pumps []int
+	aq    []float64
+	hw    []float64
+
+	// flow0 and coeffs0 are every cold solve's starting flows and their
+	// linearization, so iteration 0 evaluates no link.
+	flow0   []float64
+	coeffs0 []linkCoeffs
+
+	// demandAt is the simulation time s.demand holds junction demands
+	// for; demandOK is false until the first solve fills them.
+	demandAt time.Duration
+	demandOK bool
 
 	// failHook, when set, is consulted at the top of every solve attempt;
 	// returning true fails the attempt immediately with an injected
@@ -221,7 +239,10 @@ type Solver struct {
 }
 
 // NewSolver prepares a solver for the given network. The network is
-// validated; the solver reads (never mutates) it afterwards.
+// validated; the solver reads (never mutates) it afterwards, and it must
+// not change while the solver is in use: resistances, the open-link
+// lists, the starting linearization and the last solve's junction
+// demands are cached.
 func NewSolver(net *network.Network, opts Options) (*Solver, error) {
 	if err := net.Validate(); err != nil {
 		return nil, fmt.Errorf("hydraulic: %w", err)
@@ -262,6 +283,23 @@ func NewSolver(net *network.Network, opts Options) (*Solver, error) {
 	s.newHead = make([]float64, nj)
 	s.demand = make([]float64, len(net.Nodes))
 	s.coeffs = make([]linkCoeffs, len(net.Links))
+	s.flow0 = make([]float64, len(net.Links))
+	for i := range net.Links {
+		l := &net.Links[i]
+		switch {
+		case l.Status == network.Closed:
+			continue
+		case l.Type == network.Pump:
+			s.pumps = append(s.pumps, i)
+		default:
+			s.pipes = append(s.pipes, i)
+		}
+		s.flow0[i] = initialFlow(l)
+	}
+	s.aq = make([]float64, len(s.pipes))
+	s.hw = make([]float64, len(s.pipes))
+	s.coeffs0 = make([]linkCoeffs, len(net.Links))
+	s.linearize(s.flow0, s.coeffs0)
 
 	// Tank staging: ascending node order, resolved once.
 	s.tankOrd = make([]int, len(net.Nodes))
@@ -411,22 +449,27 @@ func (s *Solver) solveOnce(t time.Duration, emitters []Emitter, attempt int, war
 	net := s.net
 	beta := s.opts.EmitterExponent
 
-	// Demands and fixed heads. A warm attempt keeps the previous attempt's
-	// junction heads (and link flows, below) as its starting iterate; the
-	// demand-driven quantities are recomputed either way.
+	// Junction demands depend only on t (the network does not change
+	// after NewSolver), so a solve at the previous solve's t reuses them.
+	if !s.demandOK || t != s.demandAt {
+		for _, i := range s.junctions {
+			s.demand[i] = net.DemandAt(i, t)
+		}
+		s.demandAt, s.demandOK = t, true
+	}
+
+	// Fixed heads. A warm attempt keeps the previous attempt's junction
+	// heads (and link flows, below) as its starting iterate.
 	for i := range net.Nodes {
 		node := &net.Nodes[i]
 		switch node.Type {
 		case network.Junction:
-			s.demand[i] = net.DemandAt(i, t)
 			if !warm {
 				s.head[i] = node.Elevation + 30 // initial guess
 			}
 		case network.Reservoir:
-			s.demand[i] = 0
 			s.head[i] = node.Elevation
 		case network.Tank:
-			s.demand[i] = 0
 			s.head[i] = s.tankHead[s.tankOrd[i]]
 		}
 	}
@@ -456,16 +499,9 @@ func (s *Solver) solveOnce(t time.Duration, emitters []Emitter, attempt int, war
 		s.emitCoeffs[k] = e.Coeff
 	}
 
-	// Initial flows.
-	for i := range net.Links {
-		l := &net.Links[i]
-		if l.Status == network.Closed {
-			s.flow[i] = 0
-			continue
-		}
-		if !warm {
-			s.flow[i] = initialFlow(l)
-		}
+	// Initial flows (closed links carry zero throughout).
+	if !warm {
+		copy(s.flow, s.flow0)
 	}
 
 	nj := len(s.junctions)
@@ -498,14 +534,20 @@ func (s *Solver) solveOnce(t time.Duration, emitters []Emitter, attempt int, war
 
 		// Link contributions. Each open link is linearized once per
 		// iteration; the flow update below reads the same coefficients
-		// back, since the flow has not moved in between.
+		// back, since the flow has not moved in between. A cold solve's
+		// first iteration starts from flow0, linearized in NewSolver.
+		coeffs := s.coeffs
+		if iter == 0 && !warm {
+			coeffs = s.coeffs0
+		} else {
+			s.linearize(s.flow, coeffs)
+		}
 		for li := range net.Links {
 			l := &net.Links[li]
 			if l.Status == network.Closed {
 				continue
 			}
-			c := evalLink(l, s.resistance[li], s.minorRes[li], s.flow[li])
-			s.coeffs[li] = c
+			c := coeffs[li]
 			y := c.p * c.h // flow correction term
 			jf := s.junctionOf[l.From]
 			jt := s.junctionOf[l.To]
@@ -585,7 +627,7 @@ func (s *Solver) solveOnce(t time.Duration, emitters []Emitter, attempt int, war
 			if l.Status == network.Closed {
 				continue
 			}
-			c := s.coeffs[li]
+			c := coeffs[li]
 			dh := s.head[l.From] - s.head[l.To]
 			newQ := s.flow[li] - c.p*c.h + c.p*dh
 			step := relax
@@ -618,6 +660,25 @@ func (s *Solver) solveOnce(t time.Duration, emitters []Emitter, attempt int, war
 	s.mIters.Add(int64(iter))
 	s.hIters.Observe(float64(iter))
 	return s.buildResult(beta, iter), nil
+}
+
+// linearize writes coeffs[li] for every open link li at flow[li]: the
+// pipes and valves through one batched Exp (hwPowTo), then the pumps.
+func (s *Solver) linearize(flow []float64, coeffs []linkCoeffs) {
+	for k, li := range s.pipes {
+		aq := math.Abs(flow[li])
+		if aq < qSmall {
+			aq = qSmall
+		}
+		s.aq[k] = aq
+	}
+	hwPowTo(s.hw, s.aq)
+	for k, li := range s.pipes {
+		coeffs[li] = pipeCoeffs(s.resistance[li], s.minorRes[li], flow[li], s.aq[k], s.hw[k])
+	}
+	for _, li := range s.pumps {
+		coeffs[li] = evalPump(&s.net.Links[li], flow[li])
+	}
 }
 
 func (s *Solver) buildResult(beta float64, iterations int) *Result {

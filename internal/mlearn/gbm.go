@@ -88,13 +88,15 @@ func (m *GradientBoosting) fitPrepared(px *Prepared, y []int, _ *workspace) erro
 	}
 	residual := make([]float64, n)
 	hessian := make([]float64, n)
+	e := make([]float64, n)
 	rng := rand.New(rand.NewSource(m.cfg.Seed))
 	m.arena = flatArena{roots: make([]int32, 0, m.cfg.Rounds)}
 	bin := px.bins() // shared across all boosting rounds and output columns
 
 	for round := 0; round < m.cfg.Rounds; round++ {
+		sigmoidExps(e, score)
 		for i := 0; i < n; i++ {
-			p := sigmoid(score[i])
+			p := sigmoidAt(score[i], e[i])
 			residual[i] = float64(y[i]) - p
 			hessian[i] = p * (1 - p)
 		}

@@ -269,6 +269,28 @@ func sigmoid(z float64) float64 {
 	return e / (1 + e)
 }
 
+// sigmoidExps sets e[i] = math.Exp(−|z[i]|) for every i through one
+// batched Exp, so that sigmoidAt(z[i], e[i]) is sigmoid(z[i]) bit for
+// bit. The fits use it once per pass over their rows; −0 maps to +0 and
+// a NaN passes through unchanged, as in sigmoid.
+func sigmoidExps(e, z []float64) {
+	for i, v := range z {
+		if v >= 0 {
+			v = -v
+		}
+		e[i] = v
+	}
+	matrix.ExpTo(e, e)
+}
+
+// sigmoidAt finishes sigmoid(z) from e = math.Exp(−|z|).
+func sigmoidAt(z, e float64) float64 {
+	if z >= 0 {
+		return 1 / (1 + e)
+	}
+	return e / (1 + e)
+}
+
 // Fit runs weighted batch gradient descent on the logistic loss.
 func (m *LogisticRegression) Fit(x [][]float64, y []int) error {
 	return m.fitPrepared(Prepare(x), y, &workspace{})
@@ -290,13 +312,19 @@ func (m *LogisticRegression) fitPrepared(px *Prepared, y []int, _ *workspace) er
 	m.w = make([]float64, d)
 	m.bias = 0
 	grad := make([]float64, d)
+	z := make([]float64, len(xs))
+	e := make([]float64, len(xs))
 	for epoch := 0; epoch < m.cfg.Epochs; epoch++ {
 		for j := range grad {
 			grad[j] = 0
 		}
+		for i, xi := range xs {
+			z[i] = matrix.Dot(m.w, xi) + m.bias
+		}
+		sigmoidExps(e, z)
 		gBias := 0.0
 		for i, xi := range xs {
-			p := sigmoid(matrix.Dot(m.w, xi) + m.bias)
+			p := sigmoidAt(z[i], e[i])
 			g := cw[y[i]] * (p - float64(y[i]))
 			matrix.AxpY(g, xi, grad)
 			gBias += g

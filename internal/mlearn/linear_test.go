@@ -188,3 +188,28 @@ func TestLinearFitMatchesRowwiseReference(t *testing.T) {
 	}
 	t.Logf("%d cases, worst relative gap %.3g", len(cases), worst)
 }
+
+// TestSigmoidBatchMatchesScalar requires the batched form the fits use,
+// sigmoidExps then sigmoidAt, to give sigmoid's bits: random arguments
+// over the range where Exp neither saturates nor underflows and beyond,
+// ±0, ±Inf and NaNs of both signs.
+func TestSigmoidBatchMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(264))
+	z := []float64{
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		math.Float64frombits(math.Float64bits(math.NaN()) | 1<<63),
+		700, -700, 745.2, -745.2, math.MaxFloat64, -math.MaxFloat64,
+	}
+	for i := 0; i < 100_000; i++ {
+		z = append(z, 40*rng.NormFloat64(), 1600*rng.Float64()-800)
+	}
+	e := make([]float64, len(z))
+	sigmoidExps(e, z)
+	for i, v := range z {
+		got, want := sigmoidAt(v, e[i]), sigmoid(v)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("sigmoid(%v): batched %v (%#x), scalar %v (%#x)",
+				v, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}

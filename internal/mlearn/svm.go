@@ -124,10 +124,16 @@ func fitPlatt(margins []float64, y []int) (a, b float64) {
 	}
 	a, b = 1, 0
 	lr := 0.01
+	z := make([]float64, len(margins))
+	e := make([]float64, len(margins))
 	for epoch := 0; epoch < 500; epoch++ {
+		for i, mgn := range margins {
+			z[i] = a*mgn + b
+		}
+		sigmoidExps(e, z)
 		var ga, gb float64
 		for i, mgn := range margins {
-			p := sigmoid(a*mgn + b)
+			p := sigmoidAt(z[i], e[i])
 			g := p - targets[i]
 			ga += g * mgn
 			gb += g
