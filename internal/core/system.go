@@ -215,6 +215,25 @@ func (s *System) GenerateColdScenario(cfg leak.GeneratorConfig, rng *rand.Rand) 
 	if rng == nil {
 		return ColdScenario{}, fmt.Errorf("core: nil rng")
 	}
+	d, err := s.newColdDraw(cfg)
+	if err != nil {
+		return ColdScenario{}, err
+	}
+	return d.next(rng, make([]bool, len(s.net.Nodes))), nil
+}
+
+// coldDraw draws cold scenarios from one validated configuration,
+// reusing its junction list and scratch buffers across draws.
+type coldDraw struct {
+	cfg       leak.GeneratorConfig
+	pFreeze   float64
+	junctions []int
+	frozenJ   []int // the frozen junctions of the current draw
+	perm      []int
+	events    leak.EventBuffer
+}
+
+func (s *System) newColdDraw(cfg leak.GeneratorConfig) (*coldDraw, error) {
 	if cfg.MinEvents <= 0 {
 		cfg.MinEvents = 1
 	}
@@ -228,44 +247,48 @@ func (s *System) GenerateColdScenario(cfg leak.GeneratorConfig, rng *rand.Rand) 
 		cfg.MaxSize = 3e-3
 	}
 	if cfg.MinEvents > cfg.MaxEvents || cfg.MinSize > cfg.MaxSize {
-		return ColdScenario{}, fmt.Errorf("core: invalid cold-scenario bounds")
+		return nil, fmt.Errorf("core: invalid cold-scenario bounds")
 	}
+	return &coldDraw{cfg: cfg, pFreeze: s.freeze.PFreeze, junctions: s.net.JunctionIndices()}, nil
+}
 
-	frozen := make([]bool, len(s.net.Nodes))
-	var frozenJunctions []int
-	for _, v := range s.net.JunctionIndices() {
-		if rng.Float64() < s.freeze.PFreeze {
+// next draws one scenario into frozen, a zeroed mask with one entry per
+// node that the scenario keeps.
+func (d *coldDraw) next(rng *rand.Rand, frozen []bool) ColdScenario {
+	d.frozenJ = d.frozenJ[:0]
+	for _, v := range d.junctions {
+		if rng.Float64() < d.pFreeze {
 			frozen[v] = true
-			frozenJunctions = append(frozenJunctions, v)
+			d.frozenJ = append(d.frozenJ, v)
 		}
 	}
-	if len(frozenJunctions) == 0 {
+	if len(d.frozenJ) == 0 {
 		// Degenerate draw: freeze at least one pipe so a cold failure can
 		// occur.
-		j := s.net.JunctionIndices()
-		v := j[rng.Intn(len(j))]
+		v := d.junctions[rng.Intn(len(d.junctions))]
 		frozen[v] = true
-		frozenJunctions = append(frozenJunctions, v)
+		d.frozenJ = append(d.frozenJ, v)
 	}
 
+	cfg := d.cfg
 	count := cfg.MinEvents
 	if span := cfg.MaxEvents - cfg.MinEvents; span > 0 {
 		count += rng.Intn(span + 1)
 	}
-	if count > len(frozenJunctions) {
-		count = len(frozenJunctions)
+	if count > len(d.frozenJ) {
+		count = len(d.frozenJ)
 	}
-	perm := rng.Perm(len(frozenJunctions))[:count]
-	events := make([]leak.Event, count)
+	d.perm = leak.PermPrefix(rng, len(d.frozenJ), count, d.perm)
+	events := d.events.Take(count)
 	logMin, logMax := math.Log(cfg.MinSize), math.Log(cfg.MaxSize)
-	for i, pi := range perm {
+	for i, pi := range d.perm {
 		events[i] = leak.Event{
-			Node:  frozenJunctions[pi],
+			Node:  d.frozenJ[pi],
 			Size:  math.Exp(logMin + rng.Float64()*(logMax-logMin)),
 			Start: cfg.Start,
 		}
 	}
-	return ColdScenario{Scenario: leak.Scenario{Events: events}, Frozen: frozen}, nil
+	return ColdScenario{Scenario: leak.Scenario{Events: events}, Frozen: frozen}
 }
 
 // ObserveOptions controls observation simulation for one scenario.

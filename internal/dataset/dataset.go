@@ -178,29 +178,6 @@ func (d *Dataset) Y() [][]int {
 	return out
 }
 
-// packSamples moves the samples' Features and Labels into one backing
-// array each, replacing two allocations per sample with two per
-// dataset. Every sample keeps a cap-limited sub-slice, so appending to
-// one sample's slice reallocates instead of overwriting its neighbour.
-func packSamples(samples []Sample) {
-	nf, nl := 0, 0
-	for i := range samples {
-		nf += len(samples[i].Features)
-		nl += len(samples[i].Labels)
-	}
-	feats := make([]float64, nf)
-	labels := make([]int, nl)
-	for i := range samples {
-		s := &samples[i]
-		if k := copy(feats, s.Features); k > 0 {
-			s.Features, feats = feats[:k:k], feats[k:]
-		}
-		if k := copy(labels, s.Labels); k > 0 {
-			s.Labels, labels = labels[:k:k], labels[k:]
-		}
-	}
-}
-
 // Factory generates datasets for one network and sensor set.
 type Factory struct {
 	net       *network.Network
@@ -233,7 +210,7 @@ type factoryMetrics struct {
 	retries        *telemetry.Counter
 	skipped        *telemetry.Counter
 	badFeatures    *telemetry.Counter
-	sampleSeconds  *telemetry.Histogram
+	sampleSeconds  *telemetry.Histogram // per-sample latency; a block's shared leak solve counts 1/lanes to each of its samples
 }
 
 func bindFactoryMetrics() factoryMetrics {
@@ -366,11 +343,27 @@ func (f *Factory) FromScenarioAt(sc leak.Scenario, elapsedSlots int, rng *rand.R
 // Session itself is NOT safe for concurrent use — open one per goroutine.
 //
 // Solves are cold-started from fixed initial guesses, so a reused session
-// produces bit-identical samples to a fresh solver per call.
+// produces bit-identical samples to a fresh solver per call, whether a
+// scenario is solved alone or in a block (SolveBlock).
 type Session struct {
 	f      *Factory
 	solver *hydraulic.Solver
 	used   bool // a sample was already built — later builds are reuse hits
+
+	// Reused per-sample buffers: the post-leak and baseline readings and
+	// the emitters of the scalar solve and of each block lane. lane holds
+	// the converged lane being read, so that handing it to the sensors as
+	// a sensor.Snapshot does not allocate.
+	after, before []float64
+	emit          []hydraulic.Emitter
+	lanes         [hydraulic.Lanes][]hydraulic.Emitter
+	lane          hydraulic.LaneState
+
+	// The last SolveBlock: its elapsed-slot count, which lanes converged,
+	// and each live lane's share of its solve time.
+	blockSlots int
+	blockOK    [hydraulic.Lanes]bool
+	blockShare time.Duration
 }
 
 // NewSession opens a sample-building session with its own solver.
@@ -380,7 +373,8 @@ func (f *Factory) NewSession() (*Session, error) {
 		return nil, fmt.Errorf("dataset: session solver: %w", err)
 	}
 	f.met.sessionsOpened.Inc()
-	return &Session{f: f, solver: solver}, nil
+	n := len(f.sensors)
+	return &Session{f: f, solver: solver, after: make([]float64, n), before: make([]float64, n)}, nil
 }
 
 // FromScenario builds one sample at the factory's configured elapsed-slot
@@ -392,21 +386,118 @@ func (s *Session) FromScenario(sc leak.Scenario, rng *rand.Rand) (Sample, error)
 // FromScenarioAt builds one sample with an explicit elapsed-slot count,
 // reusing the session's solver.
 func (s *Session) FromScenarioAt(sc leak.Scenario, elapsedSlots int, rng *rand.Rand) (Sample, error) {
+	s.countUse()
+	var start time.Time
+	if s.f.met.sampleSeconds != nil {
+		start = time.Now()
+	}
+	features := make([]float64, len(s.f.sensors))
+	stats, err := s.solveAndFinish(sc, s.f.slots(elapsedSlots), rng, features)
+	if err != nil {
+		return Sample{}, err
+	}
+	if s.f.met.sampleSeconds != nil {
+		s.f.met.sampleSeconds.ObserveDuration(time.Since(start))
+	}
+	return Sample{
+		Features:   features,
+		Labels:     s.f.labelsInto(make([]int, len(s.f.junctions)), sc),
+		Scenario:   sc,
+		Retries:    stats.Retries,
+		RetrySteps: stats.Steps,
+	}, nil
+}
+
+// SolveBlock runs the leak solves of up to hydraulic.Lanes scenarios at
+// one elapsed-slot count (≤ 0 means the factory's) as one four-lane
+// solve (hydraulic.Solver.SolveSteadyFour). BlockSample then builds each
+// scenario's features, in scenario order. With fault injection enabled
+// nothing is solved here: the injector's hooks are per scenario, so
+// every BlockSample takes the scalar path.
+func (s *Session) SolveBlock(scs []leak.Scenario, elapsedSlots int) {
+	s.blockSlots = s.f.slots(elapsedSlots)
+	s.blockOK = [hydraulic.Lanes]bool{}
+	s.blockShare = 0
+	if s.f.inj.Enabled() {
+		return
+	}
+	var start time.Time
+	if s.f.met.sampleSeconds != nil {
+		start = time.Now()
+	}
+	for l, sc := range scs {
+		s.lanes[l] = sc.AppendEmitters(s.lanes[l][:0])
+	}
+	s.blockOK = s.solver.SolveSteadyFour(s.f.readTime(s.blockSlots), &s.lanes, len(scs))
+	if s.f.met.sampleSeconds != nil {
+		s.blockShare = time.Since(start) / time.Duration(len(scs))
+	}
+}
+
+// BlockSample builds the features of scenario sc, lane l of the last
+// SolveBlock, into features (one per sensor), drawing its noise from
+// rng. A lane whose block solve failed is solved again on the scalar
+// path with the retry ladder, which repeats the block's first attempt bit
+// for bit, so the sample, its retries and its error are the ones
+// FromScenarioAt gives. The sample-latency histogram records the lane's
+// share of the block solve plus its own steps.
+func (s *Session) BlockSample(l int, sc leak.Scenario, rng *rand.Rand, features []float64) (hydraulic.RetryStats, error) {
+	s.countUse()
+	var start time.Time
+	if s.f.met.sampleSeconds != nil {
+		start = time.Now()
+	}
+	var stats hydraulic.RetryStats
+	var err error
+	if s.blockOK[l] {
+		s.lane = s.solver.Lane(l)
+		err = s.finish(&s.lane, s.f.readTime(s.blockSlots), rng, nil, features)
+	} else {
+		stats, err = s.solveAndFinish(sc, s.blockSlots, rng, features)
+	}
+	if err == nil && s.f.met.sampleSeconds != nil {
+		s.f.met.sampleSeconds.ObserveDuration(s.blockShare + time.Since(start))
+	}
+	return stats, err
+}
+
+func (s *Session) countUse() {
 	if s.used {
 		s.f.met.sessionReuse.Inc()
 	}
 	s.used = true
-	return s.f.fromScenario(s.solver, sc, elapsedSlots, rng)
 }
 
-func (f *Factory) fromScenario(solver *hydraulic.Solver, sc leak.Scenario, elapsedSlots int, rng *rand.Rand) (Sample, error) {
-	var start time.Time
-	if f.met.sampleSeconds != nil {
-		start = time.Now()
-	}
+// slots resolves an elapsed-slot count: ≤ 0 means the configured one.
+func (f *Factory) slots(elapsedSlots int) int {
 	if elapsedSlots <= 0 {
-		elapsedSlots = f.cfg.ElapsedSlots
+		return f.cfg.ElapsedSlots
 	}
+	return elapsedSlots
+}
+
+// readTime is the post-leak reading instant e.t + n·Step.
+func (f *Factory) readTime(elapsedSlots int) time.Duration {
+	return f.cfg.BaseTime + time.Duration(elapsedSlots)*f.cfg.Step
+}
+
+// labelsInto writes sc's per-junction ground truth into dst (one entry
+// per junction column) and returns it.
+func (f *Factory) labelsInto(dst []int, sc leak.Scenario) []int {
+	clear(dst)
+	for _, e := range sc.Events {
+		if col, ok := f.jIndex[e.Node]; ok {
+			dst[col] = 1
+		}
+	}
+	return dst
+}
+
+// solveAndFinish is the scalar sample path: the leak solve with the retry
+// ladder (and, when enabled, the scenario's fault injection), then
+// finish.
+func (s *Session) solveAndFinish(sc leak.Scenario, elapsedSlots int, rng *rand.Rand, features []float64) (hydraulic.RetryStats, error) {
+	f := s.f
 	// Fault draws come from a dedicated stream seeded by one draw from the
 	// scenario rng, so the injection schedule is per-scenario deterministic
 	// and — with faults disabled — the noise stream is exactly the
@@ -414,32 +505,38 @@ func (f *Factory) fromScenario(solver *hydraulic.Solver, sc leak.Scenario, elaps
 	var faultRng *rand.Rand
 	if f.inj.Enabled() && rng != nil {
 		faultRng = rand.New(rand.NewSource(rng.Int63()))
-		solver.SetFailureHook(f.inj.SolveHook(faultRng))
-		defer solver.SetFailureHook(nil)
+		s.solver.SetFailureHook(f.inj.SolveHook(faultRng))
+		defer s.solver.SetFailureHook(nil)
 	}
-	readTime := f.cfg.BaseTime + time.Duration(elapsedSlots)*f.cfg.Step
-	res, stats, err := solver.SolveSteadyRetry(readTime, sc.Emitters(), nil, f.cfg.Retry)
+	readTime := f.readTime(elapsedSlots)
+	s.emit = sc.AppendEmitters(s.emit[:0])
+	res, stats, err := s.solver.SolveSteadyRetry(readTime, s.emit, nil, f.cfg.Retry)
 	f.met.retries.Add(int64(stats.Retries))
 	if err != nil {
-		return Sample{}, &ScenarioError{Retries: stats.Retries, Err: err, Steps: stats.Steps}
+		return stats, &ScenarioError{Retries: stats.Retries, Err: err, Steps: stats.Steps}
 	}
-	after := sensor.Read(f.sensors, res, f.cfg.Noise, rng)
+	return stats, s.finish(res, readTime, rng, faultRng, features)
+}
+
+// finish turns a solved leak state into a sample's features: the noisy
+// post-leak reading, the noisy leak-free baseline at the same clock time,
+// sensor faults (faultRng nil: none), the delta and the non-finite guard.
+func (s *Session) finish(snap sensor.Snapshot, readTime time.Duration, rng, faultRng *rand.Rand, features []float64) error {
+	f := s.f
+	sensor.ReadInto(s.after, f.sensors, snap, f.cfg.Noise, rng)
 	baseTruth, err := f.baselineAt(readTime)
 	if err != nil {
-		return Sample{}, fmt.Errorf("dataset: baseline solve: %w", err)
+		return fmt.Errorf("dataset: baseline solve: %w", err)
 	}
-	before := f.noisyBaseline(baseTruth, rng)
+	// The independent pre-leak reading: fresh measurement noise on the
+	// noise-free baseline, through the same per-kind model Read uses.
+	copy(s.before, baseTruth)
+	sensor.ApplyNoise(f.sensors, s.before, f.cfg.Noise, rng)
 	// Sensor faults perturb the post-leak reading: a stuck sensor reports
 	// the stale pre-leak value (zero delta), dropout and NaN glitches
 	// become non-finite readings sanitized below.
-	f.inj.PerturbReadings(after, before, faultRng)
-	labels := make([]int, len(f.junctions))
-	for _, e := range sc.Events {
-		if col, ok := f.jIndex[e.Node]; ok {
-			labels[col] = 1
-		}
-	}
-	features := sensor.Delta(before, after)
+	f.inj.PerturbReadings(s.after, s.before, faultRng)
+	sensor.DeltaInto(features, s.before, s.after)
 	// Degraded-input guard: a non-finite reading must become a neutral
 	// feature, not silently poison training or inference downstream. (NaN
 	// propagates through every classifier dot product unnoticed.)
@@ -452,16 +549,7 @@ func (f *Factory) fromScenario(solver *hydraulic.Solver, sc leak.Scenario, elaps
 	}
 	f.met.badFeatures.Add(int64(bad))
 	f.met.samples.Inc()
-	if f.met.sampleSeconds != nil {
-		f.met.sampleSeconds.ObserveDuration(time.Since(start))
-	}
-	return Sample{
-		Features:   features,
-		Labels:     labels,
-		Scenario:   sc,
-		Retries:    stats.Retries,
-		RetrySteps: stats.Steps,
-	}, nil
+	return nil
 }
 
 // RetryTrace synthesizes a trace snapshot replaying a scenario's solver
@@ -490,17 +578,6 @@ func RetryTrace(job string, steps []hydraulic.RetryStep, err error) *telemetry.T
 	return tr.Snapshot()
 }
 
-// noisyBaseline perturbs noise-free baseline readings with fresh
-// measurement noise, simulating the independent pre-leak reading. The
-// per-kind noise model is sensor.ApplyNoise — the same switch Read uses —
-// so both reading paths stay in lockstep.
-func (f *Factory) noisyBaseline(baseTruth []float64, rng *rand.Rand) []float64 {
-	out := make([]float64, len(baseTruth))
-	copy(out, baseTruth)
-	sensor.ApplyNoise(f.sensors, out, f.cfg.Noise, rng)
-	return out
-}
-
 // Generate draws count random scenarios and builds their samples in
 // parallel. The result is deterministic for a given rng seed regardless of
 // worker scheduling: scenarios and per-sample noise seeds are drawn
@@ -516,12 +593,12 @@ func (f *Factory) Generate(count int, rng *rand.Rand) (*Dataset, error) {
 }
 
 // GenerateContext is Generate with cancellation: ctx is observed between
-// scenarios, so a cancelled call returns within roughly one scenario's
-// solve latency. On cancellation it returns the partial dataset — every
-// sample fully built before the cancel, in scenario order — together
-// with ctx.Err(), so long-running generation can be interrupted without
-// losing completed work. An uncancelled call is bit-identical to
-// Generate for the same rng seed.
+// blocks of hydraulic.Lanes scenarios, so a cancelled call returns within
+// roughly one block's solve latency. On cancellation it returns the
+// partial dataset — every sample of the blocks dispatched before the
+// cancel, in scenario order — together with ctx.Err(), so long-running
+// generation can be interrupted without losing completed work. An
+// uncancelled call is bit-identical to Generate for the same rng seed.
 func (f *Factory) GenerateContext(ctx context.Context, count int, rng *rand.Rand) (*Dataset, error) {
 	if count <= 0 {
 		return nil, fmt.Errorf("dataset: non-positive sample count %d", count)
@@ -530,18 +607,21 @@ func (f *Factory) GenerateContext(ctx context.Context, count int, rng *rand.Rand
 	if err != nil {
 		return nil, err
 	}
-	sessions, err := f.newSessions(par.Workers(0, count))
+	sessions, err := f.newSessions(par.Workers(0, blocks(count)))
 	if err != nil {
 		return nil, err
 	}
-	samples, errs, dispatched := buildSamples(ctx, sessions, scenarios, seeds)
+	sw := f.newSweep(count, true)
+	dispatched := sw.run(ctx, sessions, scenarios, seeds)
 
 	// Reduce in scenario order so both the aborting error and the skip
 	// report are deterministic for any worker scheduling. Kept samples
-	// are filtered in place.
+	// are filtered in place; their features and labels stay in the
+	// sweep's two arrays, one cap-limited row each.
+	samples := sw.samples
 	kept := samples[:0]
 	var skipped []SkippedScenario
-	for i, err := range errs[:dispatched] {
+	for i, err := range sw.errs[:dispatched] {
 		if err == nil {
 			kept = append(kept, samples[i])
 			continue
@@ -553,7 +633,6 @@ func (f *Factory) GenerateContext(ctx context.Context, count int, rng *rand.Rand
 	}
 	f.met.skipped.Add(int64(len(skipped)))
 	clear(samples[len(kept):])
-	packSamples(kept)
 	if ctxErr := ctx.Err(); ctxErr != nil {
 		return &Dataset{Samples: kept, Junctions: f.Junctions(), Skipped: skipped}, ctxErr
 	}
@@ -608,18 +687,71 @@ func (f *Factory) newSessions(workers int) ([]*Session, error) {
 	return sessions, nil
 }
 
-// buildSamples builds scenario i's sample from its own noise stream
-// rand.New(seeds[i]) over one worker per session. Results land at their
-// scenario's index; on cancellation only the first dispatched scenarios
-// were built.
-func buildSamples(ctx context.Context, sessions []*Session, scenarios []leak.Scenario, seeds []int64) (samples []Sample, errs []error, dispatched int) {
-	samples = make([]Sample, len(scenarios))
-	errs = make([]error, len(scenarios))
+// blocks is the number of hydraulic.Lanes-scenario blocks n scenarios
+// fill, the last one padded.
+func blocks(n int) int { return (n + hydraulic.Lanes - 1) / hydraulic.Lanes }
+
+// sweep holds one scenario sweep's results: scenario i's sample, with its
+// features in row i of one flat array (and its labels in row i of
+// another, when the sweep builds them), and its error. A corpus reuses
+// one sweep for every shard.
+type sweep struct {
+	f        *Factory
+	samples  []Sample
+	errs     []error
+	features []float64
+	labels   []int // nil: labels are not built
+}
+
+func (f *Factory) newSweep(n int, labels bool) *sweep {
+	sw := &sweep{
+		f:        f,
+		samples:  make([]Sample, n),
+		errs:     make([]error, n),
+		features: make([]float64, n*len(f.sensors)),
+	}
+	if labels {
+		sw.labels = make([]int, n*len(f.junctions))
+	}
+	return sw
+}
+
+// run builds the samples of scenarios (at most the sweep's capacity),
+// scenario i from its own noise stream seeded with seeds[i], over one
+// worker per session. Workers take blocks of hydraulic.Lanes scenarios,
+// solve each block together (Session.SolveBlock) and then build its
+// samples in scenario order, each on the worker's one rand.Rand re-seeded
+// with Seed(seeds[i]) — the stream rand.New(rand.NewSource(seeds[i]))
+// gives. It returns the dispatched prefix: on cancellation, whole blocks.
+func (sw *sweep) run(ctx context.Context, sessions []*Session, scenarios []leak.Scenario, seeds []int64) (dispatched int) {
+	n := len(scenarios)
+	nf, nj := len(sw.f.sensors), len(sw.f.junctions)
 	work := make([]func(int), len(sessions))
 	for w, sess := range sessions {
-		work[w] = func(i int) {
-			samples[i], errs[i] = sess.FromScenario(scenarios[i], rand.New(rand.NewSource(seeds[i])))
+		rng := rand.New(rand.NewSource(1))
+		work[w] = func(b int) {
+			lo, hi := b*hydraulic.Lanes, min((b+1)*hydraulic.Lanes, n)
+			sess.SolveBlock(scenarios[lo:hi], 0)
+			for i := lo; i < hi; i++ {
+				rng.Seed(seeds[i])
+				feat := sw.features[i*nf : (i+1)*nf : (i+1)*nf]
+				stats, err := sess.BlockSample(i-lo, scenarios[i], rng, feat)
+				sw.errs[i] = err
+				if err != nil {
+					sw.samples[i] = Sample{}
+					continue
+				}
+				sw.samples[i] = Sample{
+					Features:   feat,
+					Scenario:   scenarios[i],
+					Retries:    stats.Retries,
+					RetrySteps: stats.Steps,
+				}
+				if sw.labels != nil {
+					sw.samples[i].Labels = sw.f.labelsInto(sw.labels[i*nj:(i+1)*nj:(i+1)*nj], scenarios[i])
+				}
+			}
 		}
 	}
-	return samples, errs, par.Each(ctx, len(scenarios), work)
+	return min(par.Each(ctx, blocks(n), work)*hydraulic.Lanes, n)
 }

@@ -3,7 +3,6 @@ package dataset
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 	"time"
 
@@ -206,33 +205,6 @@ func TestElapsedSlotsStrengthenSignal(t *testing.T) {
 	}
 }
 
-func TestPackSamples(t *testing.T) {
-	samples := []Sample{
-		{Features: []float64{1, 2, 3}, Labels: []int{0, 1}},
-		{},
-		{Features: append(make([]float64, 0, 8), 4, 5), Labels: []int{1, 0, 1}},
-	}
-	want := make([]Sample, len(samples))
-	for i, s := range samples {
-		want[i] = Sample{Features: append([]float64(nil), s.Features...), Labels: append([]int(nil), s.Labels...)}
-	}
-	packSamples(samples)
-	if !reflect.DeepEqual(samples, want) {
-		t.Fatalf("packed samples = %+v, want %+v", samples, want)
-	}
-	for i, s := range samples {
-		if cap(s.Features) != len(s.Features) || cap(s.Labels) != len(s.Labels) {
-			t.Fatalf("sample %d: slices not cap-limited", i)
-		}
-	}
-	// Appending to one sample must not overwrite the next one.
-	samples[0].Features = append(samples[0].Features, 99)
-	samples[0].Labels = append(samples[0].Labels, 7)
-	if !reflect.DeepEqual(samples[2], want[2]) {
-		t.Fatalf("append to sample 0 changed sample 2: %+v", samples[2])
-	}
-}
-
 func TestGenerateSamplesAppendSafe(t *testing.T) {
 	net := network.BuildEPANet()
 	f, err := NewFactory(net, epanetSensors(t, net, 10), Config{Noise: sensor.DefaultNoise})
@@ -242,6 +214,11 @@ func TestGenerateSamplesAppendSafe(t *testing.T) {
 	ds, err := f.Generate(3, rand.New(rand.NewSource(7)))
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
+	}
+	for i, s := range ds.Samples {
+		if cap(s.Features) != len(s.Features) || cap(s.Labels) != len(s.Labels) {
+			t.Fatalf("sample %d: slices not cap-limited", i)
+		}
 	}
 	next := ds.Samples[1]
 	f1, l1 := next.Features[0], next.Labels[0]

@@ -167,3 +167,44 @@ func BenchmarkSolveSteadyGrid(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSolveSteadyFour measures one block of four leak scenarios,
+// solved as four SolveSteady calls (scalar) and as one SolveSteadyFour
+// (four): the lever behind every scenario sweep.
+func BenchmarkSolveSteadyFour(b *testing.B) {
+	for _, net := range []*network.Network{
+		network.BuildEPANet(),
+		network.BuildWSSCSubnet(),
+		network.BuildGrid(network.GridConfig{Rows: 32, Cols: 32}),
+	} {
+		junctions := net.JunctionIndices()
+		var em [Lanes][]Emitter
+		for l := range em {
+			for k := range 3 {
+				em[l] = append(em[l], Emitter{Node: junctions[(l*7+k*13)*len(junctions)/97%len(junctions)], Coeff: 1e-3})
+			}
+		}
+		s, err := NewSolver(net, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(net.Name+"/scalar", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for l := range em {
+					if _, err := s.SolveSteady(8*time.Hour, em[l], nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+		b.Run(net.Name+"/four", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if ok := s.SolveSteadyFour(8*time.Hour, &em, Lanes); ok != [Lanes]bool{true, true, true, true} {
+					b.Fatalf("lanes converged: %v", ok)
+				}
+			}
+		})
+	}
+}

@@ -181,25 +181,21 @@ type Solver struct {
 	diagSlot []int
 	linkSlot []int
 
-	// Scratch buffers reused across solves. The emitter aggregation and
-	// tank-head staging are index-sorted parallel slices, not maps:
-	// assembly never iterates a Go map, so float accumulation order — and
-	// with it bit-level reproducibility — is fixed by construction.
-	flow       []float64
-	head       []float64
-	diag       []float64
-	rhs        []float64
-	newHead    []float64
-	demand     []float64
-	emitNodes  []int     // ascending node indices of active emitters
-	emitCoeffs []float64 // aggregated coefficients, parallel to emitNodes
-	tankNodes  []int     // ascending node indices of tanks
-	tankHead   []float64 // staged tank heads, parallel to tankNodes
-	tankOrd    []int     // node index → tank ordinal, -1 otherwise
+	// st is the scalar solve's Newton iterate and assembly buffers; a
+	// warm retry resumes from what the failed attempt left in it.
+	st newton
 
-	// coeffs holds each open link's linearization for the current Newton
-	// iteration: read by assembly and again by the flow update.
-	coeffs []linkCoeffs
+	// Junction demands at demandAt, and the tank-head staging as
+	// index-sorted parallel slices, not maps: assembly never iterates a
+	// Go map, so float accumulation order — and with it bit-level
+	// reproducibility — is fixed by construction.
+	demand    []float64
+	tankNodes []int     // ascending node indices of tanks
+	tankHead  []float64 // staged tank heads, parallel to tankNodes
+	tankOrd   []int     // node index → tank ordinal, -1 otherwise
+
+	// four holds SolveSteadyFour's lanes, nil until first used.
+	four *fourLanes
 
 	// Open pipes and valves (ascending) are linearized together, so their
 	// |Q|^0.852 runs through one batched Exp (hwPowTo) with aq and hw as
@@ -235,7 +231,7 @@ type Solver struct {
 	mWarm       *telemetry.Counter
 	mFactor     *telemetry.Counter
 	hIters      *telemetry.Histogram
-	hSolveSec   *telemetry.Histogram
+	hSolveSec   *telemetry.Histogram // per factorize+solve; a four-lane one counts 1/live lanes to each live lane
 }
 
 // NewSolver prepares a solver for the given network. The network is
@@ -276,13 +272,8 @@ func NewSolver(net *network.Network, opts Options) (*Solver, error) {
 		}
 	}
 	nj := len(s.junctions)
-	s.flow = make([]float64, len(net.Links))
-	s.head = make([]float64, len(net.Nodes))
-	s.diag = make([]float64, nj)
-	s.rhs = make([]float64, nj)
-	s.newHead = make([]float64, nj)
+	s.st = s.newNewton()
 	s.demand = make([]float64, len(net.Nodes))
-	s.coeffs = make([]linkCoeffs, len(net.Links))
 	s.flow0 = make([]float64, len(net.Links))
 	for i := range net.Links {
 		l := &net.Links[i]
@@ -331,6 +322,7 @@ func NewSolver(net *network.Network, opts Options) (*Solver, error) {
 		if err != nil {
 			return nil, fmt.Errorf("hydraulic: %w", err)
 		}
+		s.st.vals = s.sys.Values()
 		s.diagSlot = make([]int, nj)
 		for j := 0; j < nj; j++ {
 			s.diagSlot[j] = s.sys.DiagSlot(j)
@@ -433,6 +425,39 @@ func (s *Solver) SolveSteadyHeads(t time.Duration, emitters []Emitter, tankHeads
 	return s.solveOnce(t, emitters, 0, false, 1)
 }
 
+// newton is one Newton iterate with its assembly buffers. The scalar
+// solve owns one and SolveSteadyFour one per lane; both drive them
+// through the same methods (aggregate, start, assemble, finishIteration),
+// so a lane runs exactly the scalar solve's statements on its emitters.
+type newton struct {
+	head    []float64    // per node
+	flow    []float64    // per link
+	coeffs  []linkCoeffs // the iteration's link linearization, read by assembly and the flow update
+	diag    []float64    // per junction
+	rhs     []float64
+	newHead []float64
+	vals    []float64 // head-system coefficients in matrix slot order
+
+	// Aggregated emitters: ascending node indices and their summed
+	// coefficients, so the linearization runs in fixed node order.
+	emitNodes  []int
+	emitCoeffs []float64
+
+	residual float64 // Σ|ΔQ| / Σ|Q| of the last flow update
+}
+
+func (s *Solver) newNewton() newton {
+	nj := len(s.junctions)
+	return newton{
+		head:    make([]float64, len(s.net.Nodes)),
+		flow:    make([]float64, len(s.net.Links)),
+		coeffs:  make([]linkCoeffs, len(s.net.Links)),
+		diag:    make([]float64, nj),
+		rhs:     make([]float64, nj),
+		newHead: make([]float64, nj),
+	}
+}
+
 // solveOnce is one solve attempt against the staged tank heads. attempt
 // numbers the attempt within a retry ladder (0 = first); warm keeps the
 // head/flow iterate left by the previous attempt instead of cold-starting
@@ -446,160 +471,17 @@ func (s *Solver) solveOnce(t time.Duration, emitters []Emitter, attempt int, war
 		s.mInjected.Inc()
 		return nil, &ConvergenceError{Residual: math.Inf(1), SimTime: t, Injected: true}
 	}
-	net := s.net
-	beta := s.opts.EmitterExponent
-
-	// Junction demands depend only on t (the network does not change
-	// after NewSolver), so a solve at the previous solve's t reuses them.
-	if !s.demandOK || t != s.demandAt {
-		for _, i := range s.junctions {
-			s.demand[i] = net.DemandAt(i, t)
-		}
-		s.demandAt, s.demandOK = t, true
+	st := &s.st
+	s.demandsAt(t)
+	if err := s.aggregate(st, emitters); err != nil {
+		return nil, err
 	}
+	s.start(st, warm)
 
-	// Fixed heads. A warm attempt keeps the previous attempt's junction
-	// heads (and link flows, below) as its starting iterate.
-	for i := range net.Nodes {
-		node := &net.Nodes[i]
-		switch node.Type {
-		case network.Junction:
-			if !warm {
-				s.head[i] = node.Elevation + 30 // initial guess
-			}
-		case network.Reservoir:
-			s.head[i] = node.Elevation
-		case network.Tank:
-			s.head[i] = s.tankHead[s.tankOrd[i]]
-		}
-	}
-
-	// Aggregate emitter coefficients per node (multiple concurrent leaks
-	// at one node sum their effective areas) into index-sorted slices, so
-	// the linearization loop below runs in fixed node order.
-	s.emitNodes = s.emitNodes[:0]
-	s.emitCoeffs = s.emitCoeffs[:0]
-	for _, e := range emitters {
-		if e.Node < 0 || e.Node >= len(net.Nodes) {
-			return nil, fmt.Errorf("hydraulic: emitter node %d out of range", e.Node)
-		}
-		if e.Coeff < 0 {
-			return nil, fmt.Errorf("hydraulic: negative emitter coefficient %v at node %d", e.Coeff, e.Node)
-		}
-		k := sort.SearchInts(s.emitNodes, e.Node)
-		if k < len(s.emitNodes) && s.emitNodes[k] == e.Node {
-			s.emitCoeffs[k] += e.Coeff
-			continue
-		}
-		s.emitNodes = append(s.emitNodes, 0)
-		s.emitCoeffs = append(s.emitCoeffs, 0)
-		copy(s.emitNodes[k+1:], s.emitNodes[k:])
-		copy(s.emitCoeffs[k+1:], s.emitCoeffs[k:])
-		s.emitNodes[k] = e.Node
-		s.emitCoeffs[k] = e.Coeff
-	}
-
-	// Initial flows (closed links carry zero throughout).
-	if !warm {
-		copy(s.flow, s.flow0)
-	}
-
-	nj := len(s.junctions)
 	converged := false
 	iter := 0
-	residual := math.Inf(1)
 	for ; iter < s.opts.MaxIterations; iter++ {
-		s.sys.Reset()
-		for j := 0; j < nj; j++ {
-			s.rhs[j] = 0
-			s.diag[j] = 0
-		}
-
-		// Node balance contributions from demand. Under pressure-driven
-		// analysis the delivered demand depends on head, so it is
-		// linearized per Newton iteration like the emitters.
-		for j, nodeIdx := range s.junctions {
-			d := s.demand[nodeIdx]
-			if !s.opts.PressureDriven || d == 0 {
-				s.rhs[j] -= d
-				continue
-			}
-			p := s.head[nodeIdx] - net.Nodes[nodeIdx].Elevation
-			g, dg := wagner(p, s.opts.MinPressure, s.opts.RefPressure)
-			delivered := d * g
-			dd := d * dg
-			s.diag[j] += dd
-			s.rhs[j] += -delivered + dd*s.head[nodeIdx]
-		}
-
-		// Link contributions. Each open link is linearized once per
-		// iteration; the flow update below reads the same coefficients
-		// back, since the flow has not moved in between. A cold solve's
-		// first iteration starts from flow0, linearized in NewSolver.
-		coeffs := s.coeffs
-		if iter == 0 && !warm {
-			coeffs = s.coeffs0
-		} else {
-			s.linearize(s.flow, coeffs)
-		}
-		for li := range net.Links {
-			l := &net.Links[li]
-			if l.Status == network.Closed {
-				continue
-			}
-			c := coeffs[li]
-			y := c.p * c.h // flow correction term
-			jf := s.junctionOf[l.From]
-			jt := s.junctionOf[l.To]
-
-			// Continuity: flow From→To leaves From, enters To. The
-			// junction-junction coupling goes straight to its precomputed
-			// slot (one slot per symmetric pair).
-			if jf >= 0 {
-				s.diag[jf] += c.p
-				s.rhs[jf] -= s.flow[li] - y // outflow
-				if jt < 0 {
-					s.rhs[jf] += c.p * s.head[l.To]
-				}
-			}
-			if jt >= 0 {
-				s.diag[jt] += c.p
-				s.rhs[jt] += s.flow[li] - y // inflow
-				if jf < 0 {
-					s.rhs[jt] += c.p * s.head[l.From]
-				}
-			}
-			if slot := s.linkSlot[li]; slot >= 0 {
-				s.sys.Add(slot, -c.p)
-			}
-		}
-
-		// Emitters: Newton linearization of Q = EC·p^β around current head.
-		for k, nodeIdx := range s.emitNodes {
-			coeff := s.emitCoeffs[k]
-			j := s.junctionOf[nodeIdx]
-			if j < 0 || coeff == 0 {
-				continue // emitters at fixed-grade nodes discharge freely; ignore
-			}
-			elev := net.Nodes[nodeIdx].Elevation
-			p := s.head[nodeIdx] - elev
-			if p <= 0 {
-				// No discharge; tiny derivative keeps the system stable
-				// if the head rises above elevation next iteration.
-				s.diag[j] += 1e-9
-				continue
-			}
-			q := coeff * math.Pow(p, beta)
-			dq := beta * coeff * math.Pow(p, beta-1)
-			// Newton step on the outflow Q(H) ≈ q0 + dq·(H − H0):
-			// the dq·H term joins the diagonal, the rest joins the RHS.
-			s.diag[j] += dq
-			s.rhs[j] += -q + dq*s.head[nodeIdx]
-		}
-
-		for j := 0; j < nj; j++ {
-			s.sys.Add(s.diagSlot[j], s.diag[j])
-		}
+		coeffs := s.assemble(st, iter, warm)
 
 		var t0 time.Time
 		if s.hSolveSec != nil {
@@ -607,7 +489,7 @@ func (s *Solver) solveOnce(t time.Duration, emitters []Emitter, attempt int, war
 		}
 		err := s.sys.Factorize()
 		if err == nil {
-			err = s.sys.Solve(s.rhs, s.newHead)
+			err = s.sys.Solve(st.rhs, st.newHead)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("hydraulic: head solve at iteration %d: %w", iter, err)
@@ -616,37 +498,7 @@ func (s *Solver) solveOnce(t time.Duration, emitters []Emitter, attempt int, war
 		if s.hSolveSec != nil {
 			s.hSolveSec.Observe(time.Since(t0).Seconds())
 		}
-		for j, nodeIdx := range s.junctions {
-			s.head[nodeIdx] = s.newHead[j]
-		}
-
-		// Flow update and convergence check.
-		sumDQ, sumQ := 0.0, 0.0
-		for li := range net.Links {
-			l := &net.Links[li]
-			if l.Status == network.Closed {
-				continue
-			}
-			c := coeffs[li]
-			dh := s.head[l.From] - s.head[l.To]
-			newQ := s.flow[li] - c.p*c.h + c.p*dh
-			step := relax
-			if iter >= 20 {
-				// Damp late iterations to break Hazen-Williams flow
-				// oscillations (EPANET applies the same relaxation).
-				step *= 0.6
-			}
-			if step != 1 {
-				newQ = s.flow[li] + step*(newQ-s.flow[li])
-			}
-			sumDQ += math.Abs(newQ - s.flow[li])
-			sumQ += math.Abs(newQ)
-			s.flow[li] = newQ
-		}
-		if sumQ > 0 {
-			residual = sumDQ / sumQ
-		}
-		if sumQ > 0 && residual < s.opts.Accuracy {
+		if s.finishIteration(st, coeffs, iter, relax) {
 			converged = true
 			iter++
 			break
@@ -654,12 +506,210 @@ func (s *Solver) solveOnce(t time.Duration, emitters []Emitter, attempt int, war
 	}
 	if !converged {
 		s.mFailures.Inc()
-		return nil, &ConvergenceError{Iterations: iter, Residual: residual, SimTime: t}
+		return nil, &ConvergenceError{Iterations: iter, Residual: st.residual, SimTime: t}
 	}
 	s.mSolves.Inc()
 	s.mIters.Add(int64(iter))
 	s.hIters.Observe(float64(iter))
-	return s.buildResult(beta, iter), nil
+	return s.buildResult(iter), nil
+}
+
+// demandsAt fills s.demand with the junction demands at t. They depend
+// only on t (the network does not change after NewSolver), so a solve at
+// the previous solve's t reuses them.
+func (s *Solver) demandsAt(t time.Duration) {
+	if !s.demandOK || t != s.demandAt {
+		for _, i := range s.junctions {
+			s.demand[i] = s.net.DemandAt(i, t)
+		}
+		s.demandAt, s.demandOK = t, true
+	}
+}
+
+// aggregate sums the emitter coefficients per node (multiple concurrent
+// leaks at one node sum their effective areas) into st's index-sorted
+// slices, refusing out-of-range nodes and negative coefficients.
+func (s *Solver) aggregate(st *newton, emitters []Emitter) error {
+	st.emitNodes = st.emitNodes[:0]
+	st.emitCoeffs = st.emitCoeffs[:0]
+	for _, e := range emitters {
+		if e.Node < 0 || e.Node >= len(s.net.Nodes) {
+			return fmt.Errorf("hydraulic: emitter node %d out of range", e.Node)
+		}
+		if e.Coeff < 0 {
+			return fmt.Errorf("hydraulic: negative emitter coefficient %v at node %d", e.Coeff, e.Node)
+		}
+		k := sort.SearchInts(st.emitNodes, e.Node)
+		if k < len(st.emitNodes) && st.emitNodes[k] == e.Node {
+			st.emitCoeffs[k] += e.Coeff
+			continue
+		}
+		st.emitNodes = append(st.emitNodes, 0)
+		st.emitCoeffs = append(st.emitCoeffs, 0)
+		copy(st.emitNodes[k+1:], st.emitNodes[k:])
+		copy(st.emitCoeffs[k+1:], st.emitCoeffs[k:])
+		st.emitNodes[k] = e.Node
+		st.emitCoeffs[k] = e.Coeff
+	}
+	return nil
+}
+
+// start sets the fixed heads from the staged tank heads and, unless the
+// attempt is warm (resuming the previous attempt's junction heads and
+// link flows), the cold initial guesses.
+func (s *Solver) start(st *newton, warm bool) {
+	for i := range s.net.Nodes {
+		node := &s.net.Nodes[i]
+		switch node.Type {
+		case network.Junction:
+			if !warm {
+				st.head[i] = node.Elevation + 30 // initial guess
+			}
+		case network.Reservoir:
+			st.head[i] = node.Elevation
+		case network.Tank:
+			st.head[i] = s.tankHead[s.tankOrd[i]]
+		}
+	}
+	// Initial flows (closed links carry zero throughout).
+	if !warm {
+		copy(st.flow, s.flow0)
+	}
+	st.residual = math.Inf(1)
+}
+
+// assemble builds Newton iteration iter's head system for st into
+// st.vals, st.rhs (and st.diag) and returns the link linearization it
+// used, which the flow update reads back.
+func (s *Solver) assemble(st *newton, iter int, warm bool) []linkCoeffs {
+	net := s.net
+	clear(st.vals)
+	clear(st.rhs)
+	clear(st.diag)
+
+	// Node balance contributions from demand. Under pressure-driven
+	// analysis the delivered demand depends on head, so it is
+	// linearized per Newton iteration like the emitters.
+	for j, nodeIdx := range s.junctions {
+		d := s.demand[nodeIdx]
+		if !s.opts.PressureDriven || d == 0 {
+			st.rhs[j] -= d
+			continue
+		}
+		p := st.head[nodeIdx] - net.Nodes[nodeIdx].Elevation
+		g, dg := wagner(p, s.opts.MinPressure, s.opts.RefPressure)
+		delivered := d * g
+		dd := d * dg
+		st.diag[j] += dd
+		st.rhs[j] += -delivered + dd*st.head[nodeIdx]
+	}
+
+	// Link contributions. Each open link is linearized once per
+	// iteration; the flow update reads the same coefficients back, since
+	// the flow has not moved in between. A cold solve's first iteration
+	// starts from flow0, linearized in NewSolver.
+	coeffs := st.coeffs
+	if iter == 0 && !warm {
+		coeffs = s.coeffs0
+	} else {
+		s.linearize(st.flow, coeffs)
+	}
+	for li := range net.Links {
+		l := &net.Links[li]
+		if l.Status == network.Closed {
+			continue
+		}
+		c := coeffs[li]
+		y := c.p * c.h // flow correction term
+		jf := s.junctionOf[l.From]
+		jt := s.junctionOf[l.To]
+
+		// Continuity: flow From→To leaves From, enters To. The
+		// junction-junction coupling goes straight to its precomputed
+		// slot (one slot per symmetric pair).
+		if jf >= 0 {
+			st.diag[jf] += c.p
+			st.rhs[jf] -= st.flow[li] - y // outflow
+			if jt < 0 {
+				st.rhs[jf] += c.p * st.head[l.To]
+			}
+		}
+		if jt >= 0 {
+			st.diag[jt] += c.p
+			st.rhs[jt] += st.flow[li] - y // inflow
+			if jf < 0 {
+				st.rhs[jt] += c.p * st.head[l.From]
+			}
+		}
+		if slot := s.linkSlot[li]; slot >= 0 {
+			st.vals[slot] += -c.p
+		}
+	}
+
+	// Emitters: Newton linearization of Q = EC·p^β around current head.
+	beta := s.opts.EmitterExponent
+	for k, nodeIdx := range st.emitNodes {
+		coeff := st.emitCoeffs[k]
+		j := s.junctionOf[nodeIdx]
+		if j < 0 || coeff == 0 {
+			continue // emitters at fixed-grade nodes discharge freely; ignore
+		}
+		elev := net.Nodes[nodeIdx].Elevation
+		p := st.head[nodeIdx] - elev
+		if p <= 0 {
+			// No discharge; tiny derivative keeps the system stable
+			// if the head rises above elevation next iteration.
+			st.diag[j] += 1e-9
+			continue
+		}
+		q := coeff * math.Pow(p, beta)
+		dq := beta * coeff * math.Pow(p, beta-1)
+		// Newton step on the outflow Q(H) ≈ q0 + dq·(H − H0):
+		// the dq·H term joins the diagonal, the rest joins the RHS.
+		st.diag[j] += dq
+		st.rhs[j] += -q + dq*st.head[nodeIdx]
+	}
+
+	for j, d := range st.diag {
+		st.vals[s.diagSlot[j]] += d
+	}
+	return coeffs
+}
+
+// finishIteration takes the solved junction heads from st.newHead,
+// updates the link flows by the Newton step (scaled by relax, and damped
+// from iteration 20 on) and reports whether st has converged.
+func (s *Solver) finishIteration(st *newton, coeffs []linkCoeffs, iter int, relax float64) bool {
+	net := s.net
+	for j, nodeIdx := range s.junctions {
+		st.head[nodeIdx] = st.newHead[j]
+	}
+	sumDQ, sumQ := 0.0, 0.0
+	for li := range net.Links {
+		l := &net.Links[li]
+		if l.Status == network.Closed {
+			continue
+		}
+		c := coeffs[li]
+		dh := st.head[l.From] - st.head[l.To]
+		newQ := st.flow[li] - c.p*c.h + c.p*dh
+		step := relax
+		if iter >= 20 {
+			// Damp late iterations to break Hazen-Williams flow
+			// oscillations (EPANET applies the same relaxation).
+			step *= 0.6
+		}
+		if step != 1 {
+			newQ = st.flow[li] + step*(newQ-st.flow[li])
+		}
+		sumDQ += math.Abs(newQ - st.flow[li])
+		sumQ += math.Abs(newQ)
+		st.flow[li] = newQ
+	}
+	if sumQ > 0 {
+		st.residual = sumDQ / sumQ
+	}
+	return sumQ > 0 && st.residual < s.opts.Accuracy
 }
 
 // linearize writes coeffs[li] for every open link li at flow[li]: the
@@ -681,18 +731,19 @@ func (s *Solver) linearize(flow []float64, coeffs []linkCoeffs) {
 	}
 }
 
-func (s *Solver) buildResult(beta float64, iterations int) *Result {
+func (s *Solver) buildResult(iterations int) *Result {
 	net := s.net
+	st := &s.st
 	res := &Result{
-		Head:        matrix.Clone(s.head),
+		Head:        matrix.Clone(st.head),
 		Pressure:    make([]float64, len(net.Nodes)),
-		Flow:        matrix.Clone(s.flow),
-		EmitterFlow: make(map[int]float64, len(s.emitNodes)),
+		Flow:        matrix.Clone(st.flow),
+		EmitterFlow: make(map[int]float64, len(st.emitNodes)),
 		Demand:      matrix.Clone(s.demand),
 		Iterations:  iterations,
 	}
 	for i := range net.Nodes {
-		res.Pressure[i] = s.head[i] - net.Nodes[i].Elevation
+		res.Pressure[i] = st.head[i] - net.Nodes[i].Elevation
 	}
 	if s.opts.PressureDriven {
 		// Report delivered (not required) demand.
@@ -703,13 +754,14 @@ func (s *Solver) buildResult(beta float64, iterations int) *Result {
 			}
 		}
 	}
-	for k, nodeIdx := range s.emitNodes {
+	beta := s.opts.EmitterExponent
+	for k, nodeIdx := range st.emitNodes {
 		p := res.Pressure[nodeIdx]
 		if p <= 0 {
 			res.EmitterFlow[nodeIdx] = 0
 			continue
 		}
-		res.EmitterFlow[nodeIdx] = s.emitCoeffs[k] * math.Pow(p, beta)
+		res.EmitterFlow[nodeIdx] = st.emitCoeffs[k] * math.Pow(p, beta)
 	}
 	return res
 }

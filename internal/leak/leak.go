@@ -66,11 +66,41 @@ func (s Scenario) LeakNodes() []int {
 // Emitters converts the scenario to solver emitters (ignoring start times;
 // use ScheduledEmitters for EPS runs).
 func (s Scenario) Emitters() []hydraulic.Emitter {
-	out := make([]hydraulic.Emitter, 0, len(s.Events))
+	return s.AppendEmitters(make([]hydraulic.Emitter, 0, len(s.Events)))
+}
+
+// AppendEmitters appends the scenario's solver emitters to dst, so a
+// sweep can reuse one buffer per worker.
+func (s Scenario) AppendEmitters(dst []hydraulic.Emitter) []hydraulic.Emitter {
 	for _, e := range s.Events {
-		out = append(out, hydraulic.Emitter{Node: e.Node, Coeff: e.Size})
+		dst = append(dst, hydraulic.Emitter{Node: e.Node, Coeff: e.Size})
 	}
-	return out
+	return dst
+}
+
+// PermPrefix returns rng.Perm(n)[:k] without building the permutation:
+// it makes Perm's n Intn draws, so rng ends where Perm leaves it, and
+// tracks only the first k slots, in dst's storage when it has room for
+// k. Perm's inside-out shuffle writes slot j < k only when it draws j, so
+// the slots at k and above never need to exist. k must be in [0, n].
+func PermPrefix(rng *rand.Rand, n, k int, dst []int) []int {
+	if k < 0 || k > n {
+		panic(fmt.Sprintf("leak: PermPrefix k=%d outside [0, %d]", k, n))
+	}
+	if cap(dst) < k {
+		dst = make([]int, k)
+	}
+	m := dst[:k]
+	for i := 0; i < n; i++ {
+		j := rng.Intn(i + 1)
+		if i < k {
+			m[i] = m[j]
+		}
+		if j < k {
+			m[j] = i
+		}
+	}
+	return m
 }
 
 // ScheduledEmitters converts the scenario for extended-period simulation.
@@ -121,6 +151,24 @@ type Generator struct {
 	cfg       GeneratorConfig
 	junctions []int
 	rng       *rand.Rand
+	perm      []int // PermPrefix buffer, reused across draws
+	events    EventBuffer
+}
+
+// EventBuffer hands out scenarios' event slices carved from shared
+// blocks, so drawing many scenarios allocates per block, not per
+// scenario. Each slice is cap-limited: appending to one reallocates
+// instead of overwriting its neighbour.
+type EventBuffer struct{ block []Event }
+
+// Take returns k events that no other Take shares.
+func (b *EventBuffer) Take(k int) []Event {
+	if cap(b.block)-len(b.block) < k {
+		b.block = make([]Event, 0, max(256, k))
+	}
+	n := len(b.block)
+	b.block = b.block[:n+k]
+	return b.block[n : n+k : n+k]
 }
 
 // NewGenerator builds a generator for the network. The rng drives all
@@ -153,11 +201,13 @@ func (g *Generator) Next() Scenario {
 	if span := g.cfg.MaxEvents - g.cfg.MinEvents; span > 0 {
 		count += g.rng.Intn(span + 1)
 	}
-	// Distinct locations via partial Fisher-Yates over a copy.
-	perm := g.rng.Perm(len(g.junctions))[:count]
-	events := make([]Event, count)
+	// Distinct locations: rng.Perm(len(junctions))[:count], drawn by
+	// PermPrefix, which makes Perm's Intn draws but keeps only the
+	// first count slots.
+	g.perm = PermPrefix(g.rng, len(g.junctions), count, g.perm)
+	events := g.events.Take(count)
 	logMin, logMax := math.Log(g.cfg.MinSize), math.Log(g.cfg.MaxSize)
-	for i, pi := range perm {
+	for i, pi := range g.perm {
 		size := math.Exp(logMin + g.rng.Float64()*(logMax-logMin))
 		events[i] = Event{
 			Node:  g.junctions[pi],

@@ -2,6 +2,7 @@ package leak
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -147,5 +148,29 @@ func TestBatch(t *testing.T) {
 	batch := g.Batch(17)
 	if len(batch) != 17 {
 		t.Fatalf("batch size = %d", len(batch))
+	}
+}
+
+// TestPermPrefixMatchesPerm pins PermPrefix to rand.Perm(n)[:k] for n up
+// to 1024 and every k ≤ 5 over 200 seeds, and requires the stream to end
+// where Perm leaves it.
+func TestPermPrefixMatchesPerm(t *testing.T) {
+	var buf []int
+	for seed := int64(0); seed < 200; seed++ {
+		pick := rand.New(rand.NewSource(seed))
+		for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 31, 64, 1 + pick.Intn(1024), 1024} {
+			for k := 0; k <= min(5, n); k++ {
+				a := rand.New(rand.NewSource(seed*7919 + int64(n)))
+				b := rand.New(rand.NewSource(seed*7919 + int64(n)))
+				want := a.Perm(n)[:k]
+				buf = PermPrefix(b, n, k, buf)
+				if !slices.Equal(buf, want) {
+					t.Fatalf("seed %d n=%d k=%d: PermPrefix %v, Perm %v", seed, n, k, buf, want)
+				}
+				if x, y := a.Int63(), b.Int63(); x != y {
+					t.Fatalf("seed %d n=%d k=%d: stream diverges after the draw (%d vs %d)", seed, n, k, y, x)
+				}
+			}
+		}
 	}
 }

@@ -48,6 +48,8 @@ type SparseSPD struct {
 	// Numeric workspaces.
 	y []float64 // dense row accumulator of the up-looking factorization
 	w []float64 // solve workspace, keeps b/x aliasing safe
+
+	four *lanes // FactorizeFour/SolveFour state, nil until first used
 }
 
 // NewSparseSPD builds the system for an n×n matrix whose off-diagonal

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 )
 
 // Serialization of trained classifiers, so a profile trained offline
@@ -130,6 +131,60 @@ func LoadClassifier(r io.Reader) (Classifier, error) {
 }
 
 func encodeClassifier(c Classifier) (envelope, error) {
+	return new(gobEncoders).classifier(c)
+}
+
+// gobEncoders writes what a fresh gob.NewEncoder(w).Encode(v) writes —
+// the definitions of v's types, then v — for many values of one type
+// through one encoder per type: the definitions that encoder wrote for
+// the first value are replayed before each later one, since a value
+// message does not depend on what the encoder sent before it. Save
+// encodes every output column's state and envelope this way, so a bank
+// of a thousand columns costs two gob buffers per type instead of two
+// per column, with the bytes of separate encoders (pinned by
+// TestMultiOutputSaveGolden).
+type gobEncoders map[reflect.Type]*gobEncoder
+
+type gobEncoder struct {
+	out  bytes.Buffer
+	enc  *gob.Encoder
+	defs []byte // the type definitions a fresh encoder writes first
+}
+
+// encode returns v's fresh-encoder bytes, valid until the next encode of
+// a value of v's type.
+func (g *gobEncoders) encode(v any) ([]byte, error) {
+	if *g == nil {
+		*g = make(gobEncoders)
+	}
+	t := reflect.TypeOf(v)
+	e := (*g)[t]
+	if e == nil {
+		e = &gobEncoder{}
+		e.enc = gob.NewEncoder(&e.out)
+		if err := e.enc.Encode(v); err != nil {
+			return nil, err
+		}
+		first := bytes.Clone(e.out.Bytes())
+		e.out.Reset()
+		if err := e.enc.Encode(v); err != nil {
+			return nil, err
+		}
+		if !bytes.HasSuffix(first, e.out.Bytes()) {
+			return nil, fmt.Errorf("mlearn: gob encoding of %v depends on encoder state", t)
+		}
+		e.defs = first[:len(first)-e.out.Len()]
+		(*g)[t] = e
+	}
+	e.out.Reset()
+	e.out.Write(e.defs)
+	if err := e.enc.Encode(v); err != nil {
+		return nil, err
+	}
+	return e.out.Bytes(), nil
+}
+
+func (g *gobEncoders) classifier(c Classifier) (envelope, error) {
 	var (
 		kind  string
 		state interface{}
@@ -164,15 +219,15 @@ func encodeClassifier(c Classifier) (envelope, error) {
 		if !m.fitted {
 			return envelope{}, errors.New("mlearn: cannot save unfitted hybrid")
 		}
-		rfB, err := marshalEnvelope(m.rf)
+		rfB, err := g.marshal(m.rf)
 		if err != nil {
 			return envelope{}, err
 		}
-		svmB, err := marshalEnvelope(m.svm)
+		svmB, err := g.marshal(m.svm)
 		if err != nil {
 			return envelope{}, err
 		}
-		metaB, err := marshalEnvelope(m.meta)
+		metaB, err := g.marshal(m.meta)
 		if err != nil {
 			return envelope{}, err
 		}
@@ -181,23 +236,29 @@ func encodeClassifier(c Classifier) (envelope, error) {
 	default:
 		return envelope{}, fmt.Errorf("mlearn: cannot serialize %T", c)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(state); err != nil {
+	payload, err := g.encode(state)
+	if err != nil {
 		return envelope{}, fmt.Errorf("mlearn: encode %s state: %w", kind, err)
 	}
-	return envelope{Kind: kind, Payload: buf.Bytes()}, nil
+	return envelope{Kind: kind, Payload: payload}, nil
 }
 
 func marshalEnvelope(c Classifier) ([]byte, error) {
-	env, err := encodeClassifier(c)
+	return new(gobEncoders).marshal(c)
+}
+
+// marshal returns a copy of c's envelope bytes. A hybrid's legs are
+// marshaled, and copied, before its own state is encoded.
+func (g *gobEncoders) marshal(c Classifier) ([]byte, error) {
+	env, err := g.classifier(c)
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(env); err != nil {
+	b, err := g.encode(env)
+	if err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	return bytes.Clone(b), nil
 }
 
 func unmarshalEnvelope(data []byte) (Classifier, error) {
@@ -322,8 +383,9 @@ func (m *MultiOutput) Save(w io.Writer) error {
 		return ErrNotFitted
 	}
 	st := multiOutputState{Seed: m.seed, Models: make([][]byte, len(m.models))}
+	var g gobEncoders
 	for i, c := range m.models {
-		b, err := marshalEnvelope(c)
+		b, err := g.marshal(c)
 		if err != nil {
 			return fmt.Errorf("mlearn: output %d: %w", i, err)
 		}

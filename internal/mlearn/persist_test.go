@@ -2,6 +2,7 @@ package mlearn
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -273,6 +274,36 @@ func TestCheckWidthAffine(t *testing.T) {
 	for name, c := range map[string]Classifier{"wide": wide, "short-scaler": short, "no-scaler": bare} {
 		if err := (&MultiOutput{models: []Classifier{c}}).CheckWidth(3); err == nil {
 			t.Fatalf("%s linear leg accepted for a 3-wide input", name)
+		}
+	}
+}
+
+// TestGobEncodersMatchFreshEncoder requires the per-type encoders Save
+// uses to write exactly what a fresh gob.Encoder per value writes, for
+// values of several types interleaved in any order.
+func TestGobEncodersMatchFreshEncoder(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	var g gobEncoders
+	for i := 0; i < 200; i++ {
+		var v any
+		switch rng.Intn(3) {
+		case 0:
+			v = linearState{W: []float64{rng.NormFloat64(), rng.NormFloat64()}, Bias: rng.NormFloat64(), Fitted: i%2 == 0}
+		case 1:
+			v = envelope{Kind: "linear", Payload: []byte{byte(i), 1, 2}}
+		default:
+			v = gbState{Bias: float64(i)}
+		}
+		got, err := g.encode(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := gob.NewEncoder(&want).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("value %d (%T): per-type encoder wrote %x, fresh encoder %x", i, v, got, want.Bytes())
 		}
 	}
 }

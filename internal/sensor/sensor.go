@@ -59,24 +59,38 @@ type Noise struct {
 // of water column and ±0.2 L/s.
 var DefaultNoise = Noise{PressureStd: 0.02, FlowStd: 2e-4}
 
+// Snapshot is a steady hydraulic state as the sensors see it: pressure
+// head per node and flow per link. *hydraulic.Result and a converged
+// hydraulic.LaneState both are one, with the same bits for the same solve.
+type Snapshot interface {
+	PressureAt(node int) float64
+	FlowAt(link int) float64
+}
+
 // Read samples every sensor from a steady-state snapshot, adding Gaussian
 // noise (rng may be nil for noise-free readings). A sensor with an unknown
 // Kind panics: silently reading 0.0 would flow into training features as a
 // plausible value and corrupt every downstream model.
 func Read(sensors []Sensor, res *hydraulic.Result, noise Noise, rng *rand.Rand) []float64 {
 	out := make([]float64, len(sensors))
+	ReadInto(out, sensors, res, noise, rng)
+	return out
+}
+
+// ReadInto is Read into a caller-owned slice of one value per sensor.
+func ReadInto(dst []float64, sensors []Sensor, snap Snapshot, noise Noise, rng *rand.Rand) {
+	dst = dst[:len(sensors)]
 	for i, s := range sensors {
 		switch s.Kind {
 		case Pressure:
-			out[i] = res.Pressure[s.Index]
+			dst[i] = snap.PressureAt(s.Index)
 		case Flow:
-			out[i] = res.Flow[s.Index]
+			dst[i] = snap.FlowAt(s.Index)
 		default:
 			panic(fmt.Sprintf("sensor: Read: sensor %d has unknown kind %v", i, s.Kind))
 		}
 	}
-	ApplyNoise(sensors, out, noise, rng)
-	return out
+	ApplyNoise(sensors, dst, noise, rng)
 }
 
 // ApplyNoise perturbs noise-free readings in place with one fresh Gaussian
@@ -113,14 +127,19 @@ func ApplyNoise(sensors []Sensor, vals []float64, noise Noise, rng *rand.Rand) {
 // Delta returns after−before element-wise — the paper's feature: the change
 // in each sensor's reading across the leak onset.
 func Delta(before, after []float64) []float64 {
-	if len(before) != len(after) {
-		panic(fmt.Sprintf("sensor: Delta length mismatch %d vs %d", len(before), len(after)))
-	}
 	out := make([]float64, len(before))
-	for i := range before {
-		out[i] = after[i] - before[i]
-	}
+	DeltaInto(out, before, after)
 	return out
+}
+
+// DeltaInto is Delta into a caller-owned slice of the same length.
+func DeltaInto(dst, before, after []float64) {
+	if len(before) != len(after) || len(dst) != len(before) {
+		panic(fmt.Sprintf("sensor: Delta length mismatch %d vs %d into %d", len(before), len(after), len(dst)))
+	}
+	for i := range before {
+		dst[i] = after[i] - before[i]
+	}
 }
 
 // Placer selects sensor locations for a network using baseline hydraulic
@@ -198,7 +217,9 @@ func sqDist(a, b []float64) float64 {
 
 // KMedoids places count sensors at the medoids of a k-medoids partition of
 // the candidate locations (Voronoi-iteration PAM variant). count values at
-// or above CandidateCount return full instrumentation.
+// or above CandidateCount return full instrumentation. Every medoid stays
+// in its own cluster, so the count sensors are distinct even when
+// candidates share a signature (constant series all normalize to zero).
 func (p *Placer) KMedoids(count int, rng *rand.Rand) ([]Sensor, error) {
 	n := len(p.candidates)
 	if count <= 0 {
@@ -217,13 +238,27 @@ func (p *Placer) KMedoids(count int, rng *rand.Rand) ([]Sensor, error) {
 	medoids := rng.Perm(n)[:count]
 	assign := make([]int, n)
 	members := make([][]int, count)
+	// medoidOf[c] is the cluster whose medoid candidate c is, -1 if none.
+	medoidOf := make([]int, n)
+	for i := range medoidOf {
+		medoidOf[i] = -1
+	}
 
 	for iter := 0; iter < 50; iter++ {
-		// Assignment step.
+		// Assignment step. A medoid keeps its own candidate: a tie must
+		// not hand it to another cluster, whose update could then move
+		// onto it and place the same sensor twice.
 		for i := range members {
 			members[i] = members[i][:0]
 		}
+		for m, med := range medoids {
+			medoidOf[med] = m
+		}
 		for i := 0; i < n; i++ {
+			if m := medoidOf[i]; m >= 0 {
+				assign[i] = m
+				continue
+			}
 			best, bestD := 0, math.Inf(1)
 			for m, med := range medoids {
 				if d := sqDist(p.signatures[i], p.signatures[med]); d < bestD {
@@ -254,6 +289,7 @@ func (p *Placer) KMedoids(count int, rng *rand.Rand) ([]Sensor, error) {
 				}
 			}
 			if best != medoids[m] {
+				medoidOf[medoids[m]] = -1
 				medoids[m] = best
 				changed = true
 			}

@@ -1,6 +1,9 @@
 package sensor
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"strings"
@@ -63,29 +66,85 @@ func allSensors(t *testing.T, p *Placer) []Sensor {
 	return all
 }
 
+// TestKMedoidsCountAndDistinct places sensors with every placer on every
+// built-in network at 10–90% IoT over several seeds and requires exactly
+// the requested count of distinct sensors. On the test network many
+// candidates share a signature, which is where k-medoids used to hand a
+// medoid's own candidate to another cluster and place it twice.
 func TestKMedoidsCountAndDistinct(t *testing.T) {
-	net := network.BuildEPANet()
-	p, err := NewPlacer(net, testBaseline(t, net))
-	if err != nil {
-		t.Fatalf("NewPlacer: %v", err)
+	nets := []*network.Network{
+		network.BuildTestNet(),
+		network.BuildEPANet(),
+		network.BuildWSSCSubnet(),
+		network.BuildGrid(network.GridConfig{Rows: 12, Cols: 12}),
 	}
-	rng := rand.New(rand.NewSource(7))
-	for _, count := range []int{1, 5, 20, 60} {
-		sensors, err := p.KMedoids(count, rng)
+	for _, net := range nets {
+		p, err := NewPlacer(net, testBaseline(t, net))
 		if err != nil {
-			t.Fatalf("KMedoids(%d): %v", count, err)
+			t.Fatalf("NewPlacer: %v", err)
 		}
-		if len(sensors) != count {
-			t.Fatalf("placed %d sensors, want %d", len(sensors), count)
-		}
-		seen := make(map[Sensor]bool)
-		for _, s := range sensors {
-			if seen[s] {
-				t.Fatalf("duplicate sensor %+v", s)
+		placers := map[string]func(int, *rand.Rand) ([]Sensor, error){"kmedoids": p.KMedoids, "random": p.Random}
+		for name, place := range placers {
+			for _, pct := range []float64{10, 30, 50, 70, 90} {
+				for seed := int64(1); seed <= 4; seed++ {
+					count := p.CountForPercent(pct)
+					sensors, err := place(count, rand.New(rand.NewSource(seed)))
+					if err != nil {
+						t.Fatalf("%s %s(%d): %v", net.Name, name, count, err)
+					}
+					if len(sensors) != count {
+						t.Fatalf("%s %s: placed %d sensors, want %d", net.Name, name, len(sensors), count)
+					}
+					seen := make(map[Sensor]bool)
+					for _, s := range sensors {
+						if seen[s] {
+							t.Fatalf("%s %s at %v%% seed %d: duplicate sensor %+v", net.Name, name, pct, seed, s)
+						}
+						seen[s] = true
+					}
+				}
 			}
-			seen[s] = true
 		}
 	}
+}
+
+// TestKMedoidsPlacementsUnchanged pins the placements the benchmark and
+// figure deployments use (placement seed 5): keeping a medoid in its own
+// cluster must not move a sensor where no duplicate occurred.
+func TestKMedoidsPlacementsUnchanged(t *testing.T) {
+	for _, c := range []struct {
+		net  *network.Network
+		pct  float64
+		want string
+	}{
+		{network.BuildEPANet(), 60, "a99133efd9ab9dea"},
+		{network.BuildGrid(network.GridConfig{Rows: 32, Cols: 32}), 3, "0d4b04d356dc4d8f"},
+		{network.BuildWSSCSubnet(), 30, "c73f9bf288d4d80d"},
+	} {
+		p, err := NewPlacer(c.net, testBaseline(t, c.net))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := p.KMedoids(p.CountForPercent(c.pct), rand.New(rand.NewSource(5)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := placementDigest(s); got != c.want {
+			t.Fatalf("%s at %v%%: placement digest %s, want %s", c.net.Name, c.pct, got, c.want)
+		}
+	}
+}
+
+// placementDigest hashes a sensor list's kinds and indices in order.
+func placementDigest(s []Sensor) string {
+	h := sha256.New()
+	var buf [16]byte
+	for _, x := range s {
+		binary.LittleEndian.PutUint64(buf[:8], uint64(x.Kind))
+		binary.LittleEndian.PutUint64(buf[8:], uint64(x.Index))
+		h.Write(buf[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
 func TestKMedoidsSpreadsBetterThanWorstCase(t *testing.T) {
