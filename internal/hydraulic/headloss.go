@@ -71,16 +71,18 @@ type linkCoeffs struct {
 }
 
 // hwPowTo sets hw[k] = math.Pow(aq[k], hwExp−1) bit for bit for every
-// aq[k] ≥ qSmall, +Inf and NaN, with one batched Exp: Log pass, ExpTo,
-// scaling pass. Pow computes x^0.852 as Ldexp(Exp(hwFrac·Log x)·m, e) with
-// x = m·2^e; the power-of-two scaling is exact while the result is normal,
-// which aq ≥ qSmall ensures, so multiplying by aq instead rounds
-// identically. TestPipeHeadlossPowIdentity pins this against the standard
-// library.
+// aq[k] ≥ qSmall, +Inf and NaN, with one batched Log and one batched Exp:
+// LogTo, the hwFrac scaling, ExpTo, the aq scaling. Pow computes x^0.852
+// as Ldexp(Exp(hwFrac·Log x)·m, e) with x = m·2^e; the power-of-two
+// scaling is exact while the result is normal, which aq ≥ qSmall ensures,
+// so multiplying by aq instead rounds identically. LogTo and ExpTo give
+// math.Log's and math.Exp's bits four lanes at a time.
+// TestPipeHeadlossPowIdentity pins this against the standard library.
 func hwPowTo(hw, aq []float64) {
 	hw = hw[:len(aq)]
-	for k, a := range aq {
-		hw[k] = hwFrac * math.Log(a)
+	matrix.LogTo(hw, aq)
+	for k := range hw {
+		hw[k] *= hwFrac
 	}
 	matrix.ExpTo(hw, hw)
 	for k, a := range aq {

@@ -44,8 +44,13 @@ func randomEmitters(rng *rand.Rand, net *network.Network, junctions, fixed []int
 // single junction its reservoir cannot lift to positive pressure, demand- and
 // pressure-driven, at the default budget, at a tight accuracy that runs
 // lanes past the iteration-20 damping, and at a budget too small for
-// most lanes. Blocks of fewer than four live lanes are included.
+// most lanes. Blocks of fewer than four live lanes are included. It runs
+// with the head system's lane kernels on and off.
 func TestSolveFourMatchesScalar(t *testing.T) {
+	forEachLaneKernel(t, testSolveFourMatchesScalar)
+}
+
+func testSolveFourMatchesScalar(t *testing.T) {
 	nets := []*network.Network{
 		network.BuildGrid(network.GridConfig{Rows: 32, Cols: 32}),
 		network.BuildEPANet(),

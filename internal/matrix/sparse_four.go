@@ -44,11 +44,21 @@ func (s *SparseSPD) Values() []float64 { return s.values }
 // meaningless, the others are unaffected. The result stays in the lane
 // state for SolveFour; Factorize's own factor is not touched. No
 // allocation after the first call.
+//
+// On amd64 with AVX2 the loop runs as an assembly kernel
+// (sparse_four_amd64.s) that does each lane's add, multiply, subtract
+// and divide as one packed IEEE operation, in the same order and never
+// fused, so the lanes keep Factorize's bits; the Go loop below is the
+// portable path and the kernel's oracle.
 func (s *SparseSPD) FactorizeFour(vals *[Lanes][]float64) (failed uint8) {
 	ls := s.fourLanes()
 	nnz := len(s.values)
+	// The slicing also checks every lane's length for the kernel.
 	v0, v1, v2, v3 := vals[0][:nnz], vals[1][:nnz], vals[2][:nnz], vals[3][:nnz]
 	y, li, lx, d := ls.y, s.li, ls.lx, ls.d
+	if laneKernel {
+		return uint8(factorizeFour(vals, y, s.colPtr, s.rowIdx, s.rowPtr, s.rowCol, s.rowSlot, s.lp, li, lx, d))
+	}
 	for k := 0; k < s.n; k++ {
 		// Scatter column k of each lane's A.
 		for p := s.colPtr[k]; p < s.colPtr[k+1]; p++ {
@@ -108,7 +118,9 @@ func (s *SparseSPD) FactorizeFour(vals *[Lanes][]float64) (failed uint8) {
 // lanes, using the factors of the last FactorizeFour. Each lane runs
 // Solve's statements in Solve's order, so a lane whose factorization
 // succeeded gets Solve's bits. Every b[l] and dst[l] must have length n;
-// dst[l] may alias b[l]. No allocation.
+// dst[l] may alias b[l]. No allocation. The substitutions run as
+// FactorizeFour's loop does: an unfused assembly kernel on amd64 with
+// AVX2, substituteFourGo elsewhere.
 func (s *SparseSPD) SolveFour(b, dst *[Lanes][]float64) error {
 	n := s.n
 	for l := range b {
@@ -123,10 +135,30 @@ func (s *SparseSPD) SolveFour(b, dst *[Lanes][]float64) error {
 		pk := s.perm[k]
 		w[k] = [Lanes]float64{b0[pk], b1[pk], b2[pk], b3[pk]}
 	}
+	if laneKernel {
+		substituteFour(w, s.lp, li, lx, d)
+	} else {
+		substituteFourGo(w, s.lp, li, lx, d)
+	}
+	x0, x1, x2, x3 := dst[0], dst[1], dst[2], dst[3]
+	for k := 0; k < n; k++ {
+		pk, wk := s.perm[k], &w[k]
+		x0[pk] = wk[0]
+		x1[pk] = wk[1]
+		x2[pk] = wk[2]
+		x3[pk] = wk[3]
+	}
+	return nil
+}
+
+// substituteFourGo is substituteFour in Go: the portable path and the
+// kernel's oracle in tests.
+func substituteFourGo(w [][Lanes]float64, lp, li []int, lx, d [][Lanes]float64) {
+	n := len(w)
 	// L·y = P·b (unit lower triangular).
 	for k := 0; k < n; k++ {
 		wk := w[k]
-		for p := s.lp[k]; p < s.lp[k+1]; p++ {
+		for p := lp[k]; p < lp[k+1]; p++ {
 			l := &lx[p]
 			r := &w[li[p]]
 			r[0] -= l[0] * wk[0]
@@ -146,7 +178,7 @@ func (s *SparseSPD) SolveFour(b, dst *[Lanes][]float64) error {
 	// Lᵀ·(P·x) = z.
 	for k := n - 1; k >= 0; k-- {
 		wk := w[k]
-		for p := s.lp[k]; p < s.lp[k+1]; p++ {
+		for p := lp[k]; p < lp[k+1]; p++ {
 			l := &lx[p]
 			r := &w[li[p]]
 			wk[0] -= l[0] * r[0]
@@ -156,13 +188,4 @@ func (s *SparseSPD) SolveFour(b, dst *[Lanes][]float64) error {
 		}
 		w[k] = wk
 	}
-	x0, x1, x2, x3 := dst[0], dst[1], dst[2], dst[3]
-	for k := 0; k < n; k++ {
-		pk, wk := s.perm[k], &w[k]
-		x0[pk] = wk[0]
-		x1[pk] = wk[1]
-		x2[pk] = wk[2]
-		x3[pk] = wk[3]
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -12,8 +13,13 @@ import (
 // SolveFour bit for bit to Factorize and Solve on that lane's
 // coefficients alone: random patterns and the EPA-NET, WSSC-SUBNET and
 // 32×32-grid head systems, with one lane at a time made indefinite
-// (refused on that lane only) and aliased b/dst.
+// (refused on that lane only) and aliased b/dst. It runs with the lane
+// kernels on and off.
 func TestFactorizeFourMatchesScalar(t *testing.T) {
+	forEachLaneKernel(t, testFactorizeFourMatchesScalar)
+}
+
+func testFactorizeFourMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	type system struct {
 		name  string
@@ -100,8 +106,13 @@ func TestFactorizeFourMatchesScalar(t *testing.T) {
 }
 
 // TestFactorizeFourAllocationFree pins the four-lane factorize+solve to
-// zero allocations once its lane state exists.
+// zero allocations once its lane state exists, with the lane kernels on
+// and off.
 func TestFactorizeFourAllocationFree(t *testing.T) {
+	forEachLaneKernel(t, testFactorizeFourAllocationFree)
+}
+
+func testFactorizeFourAllocationFree(t *testing.T) {
 	n, pairs := gridPattern(32, 32)
 	s, vals, b, x := fourLaneSystem(t, n, pairs)
 	fn := func() {
@@ -115,6 +126,21 @@ func TestFactorizeFourAllocationFree(t *testing.T) {
 	fn() // first call allocates the lane state
 	if allocs := testing.AllocsPerRun(20, fn); allocs != 0 {
 		t.Fatalf("%v allocations per four-lane factorize+solve, want 0", allocs)
+	}
+}
+
+// forEachLaneKernel runs test once with the FactorizeFour/SolveFour
+// kernels off (the pure-Go loops) and, where the CPU selected them, once
+// with them on, restoring the start-up choice afterwards.
+func forEachLaneKernel(t *testing.T, test func(*testing.T)) {
+	selected := laneKernel
+	defer func() { laneKernel = selected }()
+	for _, on := range []bool{false, true} {
+		if on && !selected {
+			continue
+		}
+		laneKernel = on
+		t.Run(fmt.Sprintf("kernel=%v", on), test)
 	}
 }
 
@@ -141,29 +167,32 @@ func fourLaneSystem(tb testing.TB, n int, pairs [][2]int) (*SparseSPD, [Lanes][]
 }
 
 // BenchmarkSolveSparseFour measures one four-lane refactorize+solve on
-// the BenchmarkSolveSparse patterns: compare with four scalar rows.
+// the BenchmarkSolveSparse patterns: compare with four scalar rows. The
+// kernel=false rows run the pure-Go loops; kernel=true rows appear where
+// the CPU selected the lane kernels.
 func BenchmarkSolveSparseFour(b *testing.B) {
+	selected := laneKernel
+	defer func() { laneKernel = selected }()
 	for _, sz := range [][2]int{{13, 7}, {23, 13}, {32, 32}, {64, 64}} {
-		n, pairs := gridPattern(sz[0], sz[1])
-		b.Run("n="+itoa(n), func(b *testing.B) {
-			s, vals, rhs, x := fourLaneSystem(b, n, pairs)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if failed := s.FactorizeFour(&vals); failed != 0 {
-					b.Fatalf("lanes %04b refused", failed)
-				}
-				if err := s.SolveFour(&rhs, &x); err != nil {
-					b.Fatal(err)
-				}
+		for _, on := range []bool{false, true} {
+			if on && !selected {
+				continue
 			}
-		})
+			n, pairs := gridPattern(sz[0], sz[1])
+			b.Run(fmt.Sprintf("n=%d/kernel=%v", n, on), func(b *testing.B) {
+				laneKernel = on
+				s, vals, rhs, x := fourLaneSystem(b, n, pairs)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if failed := s.FactorizeFour(&vals); failed != 0 {
+						b.Fatalf("lanes %04b refused", failed)
+					}
+					if err := s.SolveFour(&rhs, &x); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
-}
-
-func itoa(n int) string {
-	if n < 10 {
-		return string(rune('0' + n))
-	}
-	return itoa(n/10) + string(rune('0'+n%10))
 }

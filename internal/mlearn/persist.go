@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"reflect"
 )
 
@@ -377,21 +378,129 @@ type multiOutputState struct {
 }
 
 // Save serializes the fitted multi-output bank. The factory is not
-// persisted; a loaded bank can predict but not be refit.
+// persisted; a loaded bank can predict but not be refit. The bytes are
+// what gob.NewEncoder(w).Encode(multiOutputState{...}) writes, in one
+// Write (see gobEncoders.multiOutputState).
 func (m *MultiOutput) Save(w io.Writer) error {
 	if m.models == nil {
 		return ErrNotFitted
 	}
-	st := multiOutputState{Seed: m.seed, Models: make([][]byte, len(m.models))}
+	models := make([][]byte, len(m.models))
 	var g gobEncoders
 	for i, c := range m.models {
 		b, err := g.marshal(c)
 		if err != nil {
 			return fmt.Errorf("mlearn: output %d: %w", i, err)
 		}
-		st.Models[i] = b
+		models[i] = b
 	}
-	return gob.NewEncoder(w).Encode(st)
+	b, err := g.multiOutputState(m.seed, models)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(b)
+	return err
+}
+
+// multiOutputState returns what a fresh
+// gob.NewEncoder(w).Encode(multiOutputState{Seed: seed, Models: models})
+// writes: the type definitions and the type id, taken from g's encoding
+// of the empty value, then the value message, written by hand into one
+// buffer of exact size. gob builds that message in a buffer grown by
+// append: a Save of the 1,024-column corpus-grid bank (~2 MB) allocated
+// ~12.3 MiB that way against ~4.2 MiB here. This is a stopgap until the
+// framed profile format (ROADMAP item 3) replaces gob profiles.
+// TestSaveWriterMatchesGob pins it against gob.Encoder.
+func (g *gobEncoders) multiOutputState(seed int64, models [][]byte) ([]byte, error) {
+	// The empty value encodes as the definitions, then its message:
+	// [length][type id][end of struct].
+	empty, err := g.encode(multiOutputState{})
+	if err != nil {
+		return nil, err
+	}
+	defs := (*g)[reflect.TypeOf(multiOutputState{})].defs
+	msg := empty[len(defs):]
+	typeID := msg[gobUintLen(msg[0]) : len(msg)-1]
+
+	// The value message: Seed (field 0) and Models (field 1), each only
+	// when non-zero, as field-number deltas; every element of Models is
+	// sent, as its length and bytes; then the end-of-struct 0.
+	size := len(typeID) + 1
+	if seed != 0 {
+		size += 1 + gobUintSize(gobInt(seed))
+	}
+	if len(models) > 0 {
+		size += 1 + gobUintSize(uint64(len(models)))
+		for _, b := range models {
+			size += gobUintSize(uint64(len(b))) + len(b)
+		}
+	}
+	if uint64(size) >= gobTooBig {
+		return nil, errors.New("gob: encoder: message too big")
+	}
+	out := make([]byte, 0, len(defs)+gobUintSize(uint64(size))+size)
+	out = append(out, defs...)
+	out = appendGobUint(out, uint64(size))
+	out = append(out, typeID...)
+	delta := byte(1)
+	if seed != 0 {
+		out = append(out, delta)
+		out = appendGobUint(out, gobInt(seed))
+	} else {
+		delta++
+	}
+	if len(models) > 0 {
+		out = append(out, delta)
+		out = appendGobUint(out, uint64(len(models)))
+		for _, b := range models {
+			out = appendGobUint(out, uint64(len(b)))
+			out = append(out, b...)
+		}
+	}
+	return append(out, 0), nil
+}
+
+// gobTooBig is gob's limit on a message length, as on a 64-bit platform.
+const gobTooBig = 1 << 33
+
+// appendGobUint appends gob's unsigned integer encoding of x: one byte
+// up to 0x7F, otherwise the negated byte count and the big-endian bytes.
+func appendGobUint(b []byte, x uint64) []byte {
+	if x <= 0x7F {
+		return append(b, byte(x))
+	}
+	n := gobUintSize(x) - 1
+	b = append(b, byte(-n))
+	for i := n - 1; i >= 0; i-- {
+		b = append(b, byte(x>>(8*i)))
+	}
+	return b
+}
+
+// gobUintSize returns the length of appendGobUint's encoding of x.
+func gobUintSize(x uint64) int {
+	if x <= 0x7F {
+		return 1
+	}
+	return 9 - bits.LeadingZeros64(x)/8
+}
+
+// gobInt maps a signed integer to the unsigned one gob encodes for it:
+// i<<1, complemented with the low bit set when i is negative.
+func gobInt(i int64) uint64 {
+	if i < 0 {
+		return uint64(^i<<1) | 1
+	}
+	return uint64(i << 1)
+}
+
+// gobUintLen returns the length of the gob unsigned integer whose first
+// byte is first.
+func gobUintLen(first byte) int {
+	if first <= 0x7F {
+		return 1
+	}
+	return 1 + int(-int8(first))
 }
 
 // LoadMultiOutput reads a bank previously written by Save.

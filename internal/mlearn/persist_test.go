@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"io"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -306,4 +309,105 @@ func TestGobEncodersMatchFreshEncoder(t *testing.T) {
 			t.Fatalf("value %d (%T): per-type encoder wrote %x, fresh encoder %x", i, v, got, want.Bytes())
 		}
 	}
+}
+
+// TestSaveWriterMatchesGob requires the hand-written multiOutputState
+// message to be gob.Encoder's bytes: Seed zero, small, negative and at
+// both int64 limits; no models (nil and empty), one and many; and model
+// payloads at the lengths where gob's length prefix changes width (0,
+// 0x7F, 0x80, 0xFF, 0x100, 0xFFFF, 0x10000), plus random mixes.
+func TestSaveWriterMatchesGob(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	seeds := []int64{0, 1, -1, 63, 64, -64, -65, 77, 1 << 40, math.MaxInt64, math.MinInt64}
+	lengths := []int{0, 0x7F, 0x80, 0xFF, 0x100, 0xFFFF, 0x10000}
+	payload := func(n int) []byte {
+		b := make([]byte, n)
+		rng.Read(b)
+		return b
+	}
+	check := func(seed int64, models [][]byte) {
+		t.Helper()
+		got, err := new(gobEncoders).multiOutputState(seed, models)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := gob.NewEncoder(&want).Encode(multiOutputState{Seed: seed, Models: models}); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("seed %d, %d models: wrote %d bytes, gob.Encoder %d (or the same length, other bytes)",
+				seed, len(models), len(got), want.Len())
+		}
+	}
+	for _, seed := range seeds {
+		check(seed, nil)
+		check(seed, [][]byte{})
+		for _, n := range lengths {
+			check(seed, [][]byte{payload(n)})
+		}
+		many := make([][]byte, 0, 200)
+		for range 200 {
+			many = append(many, payload(rng.Intn(300)))
+		}
+		check(seed, many)
+	}
+	for range 300 {
+		models := make([][]byte, rng.Intn(12))
+		for i := range models {
+			if rng.Intn(3) == 0 {
+				models[i] = payload(lengths[rng.Intn(len(lengths))])
+			} else {
+				models[i] = payload(rng.Intn(0x200))
+			}
+		}
+		check(seeds[rng.Intn(len(seeds))]+int64(rng.Intn(3))-1, models)
+	}
+}
+
+// TestSaveAllocationBudget bounds what Save allocates for the
+// corpus-grid shape, 1,024 ridge columns (a ~2 MB profile): ≤ 7 MiB.
+// gob.Encoder building the message itself took ~12.3 MiB.
+func TestSaveAllocationBudget(t *testing.T) {
+	mo := gridLinearBank(t)
+	var out bytes.Buffer
+	if err := mo.Save(&out); err != nil { // also warms gob's type tables
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := mo.Save(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	mib := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+	t.Logf("Save of %d columns (%d bytes) allocated %.2f MiB", mo.Outputs(), out.Len(), mib)
+	if mib > 7 {
+		t.Fatalf("Save allocated %.2f MiB, budget 7", mib)
+	}
+}
+
+// BenchmarkSave writes the corpus-grid-shaped linear bank (1,024
+// columns) to io.Discard. Run with -benchmem.
+func BenchmarkSave(b *testing.B) {
+	mo := gridLinearBank(b)
+	b.Run("linear-grid", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := mo.Save(io.Discard); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// gridLinearBank fits the linear technique on gridData.
+func gridLinearBank(tb testing.TB) *MultiOutput {
+	tb.Helper()
+	x, y := gridData(tb)
+	mo := NewMultiOutput(namedFactory(tb, "linear"), 77)
+	if err := mo.Fit(x, y); err != nil {
+		tb.Fatal(err)
+	}
+	return mo
 }

@@ -208,6 +208,7 @@ func normalize(sig []float64) []float64 {
 
 func sqDist(a, b []float64) float64 {
 	s := 0.0
+	b = b[:len(a)] // one bounds check instead of one per element
 	for i, v := range a {
 		d := v - b[i]
 		s += d * d
