@@ -13,6 +13,7 @@ import (
 	"github.com/aquascale/aquascale/internal/leak"
 	"github.com/aquascale/aquascale/internal/mlearn"
 	"github.com/aquascale/aquascale/internal/par"
+	"github.com/aquascale/aquascale/internal/randsrc"
 	"github.com/aquascale/aquascale/internal/social"
 	"github.com/aquascale/aquascale/internal/telemetry"
 )
@@ -78,7 +79,7 @@ func (s *System) newObserver() (*observer, error) {
 	return &observer{
 		session:  sess,
 		reports:  gen,
-		rng:      rand.New(rand.NewSource(1)),
+		rng:      rand.New(randsrc.New(1)),
 		features: make([]float64, s.factory.SensorCount()),
 		pred:     fusion.Prediction{Proba: make([]float64, nodes)},
 		truth:    make([]int, nodes),

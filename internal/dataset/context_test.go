@@ -49,8 +49,9 @@ func TestGenerateContextPreCancelled(t *testing.T) {
 
 func TestGenerateContextMidRunCancel(t *testing.T) {
 	f := testNetFactory(t)
-	// Large count so the run outlives the cancel timer on any machine.
-	const count = 2000
+	// Large count so the run outlives the cancel timer on any machine:
+	// 2,000 test-network samples have taken under 10 ms.
+	const count = 8000
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	timer := time.AfterFunc(10*time.Millisecond, cancel)

@@ -32,6 +32,7 @@ import (
 	"github.com/aquascale/aquascale/internal/leak"
 	"github.com/aquascale/aquascale/internal/network"
 	"github.com/aquascale/aquascale/internal/par"
+	"github.com/aquascale/aquascale/internal/randsrc"
 	"github.com/aquascale/aquascale/internal/sensor"
 	"github.com/aquascale/aquascale/internal/telemetry"
 )
@@ -728,7 +729,7 @@ func (sw *sweep) run(ctx context.Context, sessions []*Session, scenarios []leak.
 	nf, nj := len(sw.f.sensors), len(sw.f.junctions)
 	work := make([]func(int), len(sessions))
 	for w, sess := range sessions {
-		rng := rand.New(rand.NewSource(1))
+		rng := rand.New(randsrc.New(1))
 		work[w] = func(b int) {
 			lo, hi := b*hydraulic.Lanes, min((b+1)*hydraulic.Lanes, n)
 			sess.SolveBlock(scenarios[lo:hi], 0)

@@ -1,9 +1,5 @@
 package mlearn
 
-import (
-	"math/rand"
-)
-
 // RFConfig configures a random forest.
 type RFConfig struct {
 	// Trees is the ensemble size. Zero means 30.
@@ -55,7 +51,7 @@ func (m *RandomForest) Fit(x [][]float64, y []int) error {
 	return m.fitPrepared(Prepare(x), y, &workspace{})
 }
 
-func (m *RandomForest) fitPrepared(px *Prepared, y []int, _ *workspace) error {
+func (m *RandomForest) fitPrepared(px *Prepared, y []int, ws *workspace) error {
 	x := px.x
 	d, err := px.check(y)
 	if err != nil {
@@ -80,7 +76,7 @@ func (m *RandomForest) fitPrepared(px *Prepared, y []int, _ *workspace) error {
 		baseWeight[i] = cw[v]
 	}
 
-	rng := rand.New(rand.NewSource(m.cfg.Seed))
+	rng := seeded(&ws.rng, m.cfg.Seed)
 	m.arena = flatArena{roots: make([]int32, 0, m.cfg.Trees)}
 	oobSum := make([]float64, n)
 	oobCount := make([]int, n)
@@ -104,7 +100,7 @@ func (m *RandomForest) fitPrepared(px *Prepared, y []int, _ *workspace) error {
 				indices = append(indices, i)
 			}
 		}
-		treeRng := rand.New(rand.NewSource(m.cfg.Seed + int64(t)*7919 + 1))
+		treeRng := seeded(&ws.tree, m.cfg.Seed+int64(t)*7919+1)
 		g := newGrower(bin, target, weight, growConfig{
 			maxDepth: m.cfg.MaxDepth,
 			minLeaf:  m.cfg.MinLeaf,

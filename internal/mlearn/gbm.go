@@ -2,7 +2,6 @@ package mlearn
 
 import (
 	"math"
-	"math/rand"
 )
 
 // GBConfig configures gradient boosting.
@@ -56,7 +55,7 @@ func (m *GradientBoosting) Fit(x [][]float64, y []int) error {
 	return m.fitPrepared(Prepare(x), y, &workspace{})
 }
 
-func (m *GradientBoosting) fitPrepared(px *Prepared, y []int, _ *workspace) error {
+func (m *GradientBoosting) fitPrepared(px *Prepared, y []int, ws *workspace) error {
 	x := px.x
 	if _, err := px.check(y); err != nil {
 		return err
@@ -89,7 +88,7 @@ func (m *GradientBoosting) fitPrepared(px *Prepared, y []int, _ *workspace) erro
 	residual := make([]float64, n)
 	hessian := make([]float64, n)
 	e := make([]float64, n)
-	rng := rand.New(rand.NewSource(m.cfg.Seed))
+	rng := seeded(&ws.rng, m.cfg.Seed)
 	m.arena = flatArena{roots: make([]int32, 0, m.cfg.Rounds)}
 	bin := px.bins() // shared across all boosting rounds and output columns
 

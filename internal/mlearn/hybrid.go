@@ -3,6 +3,8 @@ package mlearn
 import (
 	"fmt"
 	"math"
+
+	"github.com/aquascale/aquascale/internal/matrix"
 )
 
 // HybridConfig configures the HybridRSL stack.
@@ -163,6 +165,12 @@ func metaFeatures(rfP, svmP float64) [metaWidth]float64 {
 }
 
 func clippedLogit(p float64) float64 {
+	return math.Log(clippedOdds(p))
+}
+
+// clippedOdds is the odds p/(1−p) of p clipped into [ε, 1−ε], the
+// argument of clippedLogit's Log.
+func clippedOdds(p float64) float64 {
 	const eps = 1e-3
 	if p < eps {
 		p = eps
@@ -170,7 +178,7 @@ func clippedLogit(p float64) float64 {
 	if p > 1-eps {
 		p = 1 - eps
 	}
-	return math.Log(p / (1 - p))
+	return p / (1 - p)
 }
 
 // PredictProba fuses the two legs through the logistic layer.
@@ -181,7 +189,91 @@ func (m *HybridRSL) predictClean(x []float64) float64 {
 	if !m.fitted {
 		return 0
 	}
+	var out [1]float64
+	predictHybridChunk([]*HybridRSL{m}, x, out[:])
+	return out[0]
+}
+
+// hybridChunk is how many hybrid columns predictHybridChunk evaluates
+// together, in stack buffers.
+const hybridChunk = 32
+
+// hybridBank reports whether every model is a fitted *HybridRSL, the
+// banks predictHybrids evaluates.
+func hybridBank(models []Classifier) bool {
+	for _, c := range models {
+		if h, ok := c.(*HybridRSL); !ok || !h.fitted {
+			return false
+		}
+	}
+	return true
+}
+
+// predictHybrids writes the fused probability of every model into out,
+// hybridChunk columns at a time. Every model must be a fitted
+// *HybridRSL (see hybridBank); x must be clean.
+func predictHybrids(models []Classifier, x, out []float64) {
+	var chunk [hybridChunk]*HybridRSL
+	for lo := 0; lo < len(models); lo += hybridChunk {
+		ms := chunk[:min(hybridChunk, len(models)-lo)]
+		for i := range ms {
+			ms[i] = models[lo+i].(*HybridRSL)
+		}
+		predictHybridChunk(ms, x, out[lo:lo+len(ms)])
+	}
+}
+
+// predictHybridChunk writes the fused probability of each fitted hybrid
+// in ms (at most hybridChunk) into out for the clean vector x. It is the
+// one hybrid evaluation: a single column is a chunk of one. Every column
+// runs the operations of its legs' own predictClean in their order, so
+// the bits do not depend on the chunk: the SVM margins (four columns
+// side by side, each on its own accumulator, scaler and scaledDot's
+// order), the Platt sigmoids through one sigmoidExps pass, the forests,
+// both clipped logits through one matrix.LogTo pass over the clipped
+// odds, the meta layers' dots and their sigmoids through one more
+// sigmoidExps pass. ExpTo and LogTo give math.Exp's and math.Log's bits.
+func predictHybridChunk(ms []*HybridRSL, x, out []float64) {
+	var (
+		z, e      [hybridChunk]float64
+		rfP, svmP [hybridChunk]float64
+		logit     [2 * hybridChunk]float64
+	)
+	k := len(ms)
+	c := 0
+	for ; c+4 <= k; c += 4 {
+		plattArgs4(ms[c].svm, ms[c+1].svm, ms[c+2].svm, ms[c+3].svm, x, (*[4]float64)(z[c:c+4]))
+	}
+	for ; c < k; c++ {
+		z[c] = ms[c].svm.plattArg(x)
+	}
+	sigmoidExps(e[:k], z[:k])
+	for c, m := range ms {
+		if m.svm.fitted {
+			svmP[c] = sigmoidAt(z[c], e[c])
+		}
+	}
+	for c, m := range ms {
+		rfP[c] = m.rf.predictClean(x)
+	}
+	for c := range ms {
+		logit[2*c] = clippedOdds(rfP[c])
+		logit[2*c+1] = clippedOdds(svmP[c])
+	}
+	matrix.LogTo(logit[:2*k], logit[:2*k])
 	// The meta layer skips sanitization: both legs return probabilities.
-	mf := metaFeatures(m.rf.predictClean(x), m.svm.predictClean(x))
-	return m.meta.predictClean(mf[:])
+	for c, m := range ms {
+		z[c] = 0
+		if meta := m.meta; meta.fitted {
+			mf := [metaWidth]float64{rfP[c], svmP[c], logit[2*c], logit[2*c+1]}
+			z[c] = scaledDot(meta.w, meta.scale, mf[:]) + meta.bias
+		}
+	}
+	sigmoidExps(e[:k], z[:k])
+	for c, m := range ms {
+		out[c] = 0
+		if m.meta.fitted {
+			out[c] = sigmoidAt(z[c], e[c])
+		}
+	}
 }

@@ -159,6 +159,10 @@ func (m *MultiOutput) PredictProbaInto(x, out []float64) error {
 		return fmt.Errorf("mlearn: output buffer has %d slots, want %d", len(out), len(m.models))
 	}
 	x = cleanFeatures(x)
+	if hybridBank(m.models) {
+		predictHybrids(m.models, x, out)
+		return nil
+	}
 	for v, c := range m.models {
 		if cp, ok := c.(cleanPredictor); ok {
 			out[v] = cp.predictClean(x)

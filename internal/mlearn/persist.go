@@ -251,15 +251,18 @@ func marshalEnvelope(c Classifier) ([]byte, error) {
 // marshal returns a copy of c's envelope bytes. A hybrid's legs are
 // marshaled, and copied, before its own state is encoded.
 func (g *gobEncoders) marshal(c Classifier) ([]byte, error) {
+	b, err := g.envelope(c)
+	return bytes.Clone(b), err
+}
+
+// envelope returns c's envelope bytes, valid until g next encodes an
+// envelope.
+func (g *gobEncoders) envelope(c Classifier) ([]byte, error) {
 	env, err := g.classifier(c)
 	if err != nil {
 		return nil, err
 	}
-	b, err := g.encode(env)
-	if err != nil {
-		return nil, err
-	}
-	return bytes.Clone(b), nil
+	return g.encode(env)
 }
 
 func unmarshalEnvelope(data []byte) (Classifier, error) {
@@ -380,21 +383,21 @@ type multiOutputState struct {
 // Save serializes the fitted multi-output bank. The factory is not
 // persisted; a loaded bank can predict but not be refit. The bytes are
 // what gob.NewEncoder(w).Encode(multiOutputState{...}) writes, in one
-// Write (see gobEncoders.multiOutputState).
+// Write (see gobEncoders.multiOutputMessage).
 func (m *MultiOutput) Save(w io.Writer) error {
 	if m.models == nil {
 		return ErrNotFitted
 	}
-	models := make([][]byte, len(m.models))
 	var g gobEncoders
+	sizes := make([]int, len(m.models))
 	for i, c := range m.models {
-		b, err := g.marshal(c)
+		b, err := g.envelope(c)
 		if err != nil {
 			return fmt.Errorf("mlearn: output %d: %w", i, err)
 		}
-		models[i] = b
+		sizes[i] = len(b)
 	}
-	b, err := g.multiOutputState(m.seed, models)
+	b, err := g.multiOutputMessage(m.seed, sizes, func(i int) ([]byte, error) { return g.envelope(m.models[i]) })
 	if err != nil {
 		return err
 	}
@@ -402,16 +405,29 @@ func (m *MultiOutput) Save(w io.Writer) error {
 	return err
 }
 
-// multiOutputState returns what a fresh
-// gob.NewEncoder(w).Encode(multiOutputState{Seed: seed, Models: models})
-// writes: the type definitions and the type id, taken from g's encoding
-// of the empty value, then the value message, written by hand into one
-// buffer of exact size. gob builds that message in a buffer grown by
-// append: a Save of the 1,024-column corpus-grid bank (~2 MB) allocated
-// ~12.3 MiB that way against ~4.2 MiB here. This is a stopgap until the
-// framed profile format (ROADMAP item 3) replaces gob profiles.
-// TestSaveWriterMatchesGob pins it against gob.Encoder.
+// multiOutputState is multiOutputMessage over models held in memory.
 func (g *gobEncoders) multiOutputState(seed int64, models [][]byte) ([]byte, error) {
+	sizes := make([]int, len(models))
+	for i, b := range models {
+		sizes[i] = len(b)
+	}
+	return g.multiOutputMessage(seed, sizes, func(i int) ([]byte, error) { return models[i], nil })
+}
+
+// multiOutputMessage returns what a fresh
+// gob.NewEncoder(w).Encode(multiOutputState{Seed: seed, Models: models})
+// writes, where model i is sizes[i] bytes long and model(i) returns it
+// (valid until the next call): the type definitions and the type id,
+// taken from g's encoding of the empty value, then the value message,
+// written by hand into one buffer of exact size, each model copied in
+// as it is produced. Save encodes every column twice, once to size it
+// and once into the message, so the bank is held once: a Save of the
+// 1,024-column corpus-grid bank (~2 MB) allocates ~2.4 MiB this way,
+// ~4.2 MiB with a copy of every column and ~12.3 MiB through gob's
+// own message buffer. This is a stopgap until the framed profile format
+// (ROADMAP item 3) replaces gob profiles. TestSaveWriterMatchesGob pins
+// it against gob.Encoder.
+func (g *gobEncoders) multiOutputMessage(seed int64, sizes []int, model func(i int) ([]byte, error)) ([]byte, error) {
 	// The empty value encodes as the definitions, then its message:
 	// [length][type id][end of struct].
 	empty, err := g.encode(multiOutputState{})
@@ -429,10 +445,10 @@ func (g *gobEncoders) multiOutputState(seed int64, models [][]byte) ([]byte, err
 	if seed != 0 {
 		size += 1 + gobUintSize(gobInt(seed))
 	}
-	if len(models) > 0 {
-		size += 1 + gobUintSize(uint64(len(models)))
-		for _, b := range models {
-			size += gobUintSize(uint64(len(b))) + len(b)
+	if len(sizes) > 0 {
+		size += 1 + gobUintSize(uint64(len(sizes)))
+		for _, n := range sizes {
+			size += gobUintSize(uint64(n)) + n
 		}
 	}
 	if uint64(size) >= gobTooBig {
@@ -449,11 +465,18 @@ func (g *gobEncoders) multiOutputState(seed int64, models [][]byte) ([]byte, err
 	} else {
 		delta++
 	}
-	if len(models) > 0 {
+	if len(sizes) > 0 {
 		out = append(out, delta)
-		out = appendGobUint(out, uint64(len(models)))
-		for _, b := range models {
-			out = appendGobUint(out, uint64(len(b)))
+		out = appendGobUint(out, uint64(len(sizes)))
+		for i, n := range sizes {
+			b, err := model(i)
+			if err != nil {
+				return nil, fmt.Errorf("mlearn: output %d: %w", i, err)
+			}
+			if len(b) != n {
+				return nil, fmt.Errorf("mlearn: output %d encoded to %d bytes, then %d", i, n, len(b))
+			}
+			out = appendGobUint(out, uint64(n))
 			out = append(out, b...)
 		}
 	}

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 
 	"github.com/aquascale/aquascale/internal/matrix"
 	"github.com/aquascale/aquascale/internal/par"
+	"github.com/aquascale/aquascale/internal/randsrc"
 )
 
 // Prepared is a feature matrix shared by every output column fitted over
@@ -192,6 +194,12 @@ func (p *Prepared) gramMatrix() (*scaler, []float64) {
 type workspace struct {
 	labels []int // FitColumns' label column
 
+	// The fits' random streams, made on first use and re-seeded for each
+	// use: rng for a column's own draws (bootstrap rows, Pegasos order,
+	// boosting subsample) and tree for a forest's per-tree feature
+	// sampling, which runs while rng is still drawing bootstraps.
+	rng, tree *rand.Rand
+
 	// Ridge fit (LinearRegression): the normal matrix and its factor,
 	// the minority rows' indices and standardized values, and the
 	// right-hand side the solve overwrites with β.
@@ -200,6 +208,17 @@ type workspace struct {
 	minor []int
 	rows  []float64
 	b     []float64
+}
+
+// seeded returns *r re-seeded with seed, creating it on first use; the
+// stream is rand.New(rand.NewSource(seed))'s.
+func seeded(r **rand.Rand, seed int64) *rand.Rand {
+	if *r == nil {
+		*r = rand.New(randsrc.New(seed))
+	} else {
+		(*r).Seed(seed)
+	}
+	return *r
 }
 
 // preparedFitter is implemented by the package's classifiers: Fit over a

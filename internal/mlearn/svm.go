@@ -2,7 +2,6 @@ package mlearn
 
 import (
 	"math"
-	"math/rand"
 
 	"github.com/aquascale/aquascale/internal/matrix"
 )
@@ -53,7 +52,7 @@ func (m *SVM) Fit(x [][]float64, y []int) error {
 	return m.fitPrepared(Prepare(x), y, &workspace{})
 }
 
-func (m *SVM) fitPrepared(px *Prepared, y []int, _ *workspace) error {
+func (m *SVM) fitPrepared(px *Prepared, y []int, ws *workspace) error {
 	d, err := px.check(y)
 	if err != nil {
 		return err
@@ -71,7 +70,7 @@ func (m *SVM) fitPrepared(px *Prepared, y []int, _ *workspace) error {
 		}
 	}
 
-	rng := rand.New(rand.NewSource(m.cfg.Seed))
+	rng := seeded(&ws.rng, m.cfg.Seed)
 	m.w = make([]float64, d)
 	m.bias = 0
 	lambda := m.cfg.Lambda
@@ -156,8 +155,51 @@ func (m *SVM) predictClean(x []float64) float64 {
 	if !m.fitted {
 		return 0
 	}
+	return sigmoid(m.plattArg(x))
+}
+
+// plattArg returns the argument of the Platt sigmoid for the clean x, 0
+// for an unfitted model.
+func (m *SVM) plattArg(x []float64) float64 {
+	if !m.fitted {
+		return 0
+	}
 	margin := scaledDot(m.w, m.scale, x) + m.bias
-	return sigmoid(m.plattA*margin + m.plattB)
+	return m.plattA*margin + m.plattB
+}
+
+// plattArgs4 sets z to the plattArg of a, b, c and d in one pass over x,
+// four accumulators side by side, each with its own scaler and
+// scaledDot's operations in its order. SVMs that are unfitted or differ
+// in width take plattArg one at a time.
+func plattArgs4(a, b, c, d *SVM, x []float64, z *[4]float64) {
+	wa := a.w
+	n := len(wa)
+	if !a.fitted || !b.fitted || !c.fitted || !d.fitted || len(b.w) != n || len(c.w) != n || len(d.w) != n {
+		for i, m := range [4]*SVM{a, b, c, d} {
+			z[i] = m.plattArg(x)
+		}
+		return
+	}
+	wb, wc, wd := b.w[:n], c.w[:n], d.w[:n]
+	ma, ia := a.scale.mean[:n], a.scale.inv[:n]
+	mb, ib := b.scale.mean[:n], b.scale.inv[:n]
+	mc, ic := c.scale.mean[:n], c.scale.inv[:n]
+	md, id := d.scale.mean[:n], d.scale.inv[:n]
+	x = x[:n]
+	var sa, sb, sc, sd float64
+	for j, w := range wa {
+		xj := x[j]
+		sa += w * ((xj - ma[j]) * ia[j])
+		sb += wb[j] * ((xj - mb[j]) * ib[j])
+		sc += wc[j] * ((xj - mc[j]) * ic[j])
+		sd += wd[j] * ((xj - md[j]) * id[j])
+	}
+	sums := [4]float64{sa, sb, sc, sd}
+	for i, m := range [4]*SVM{a, b, c, d} {
+		margin := sums[i] + m.bias
+		z[i] = m.plattA*margin + m.plattB
+	}
 }
 
 // probaScaled is PredictProba for a row already standardized by m's

@@ -260,9 +260,10 @@ func (p *Placer) KMedoids(count int, rng *rand.Rand) ([]Sensor, error) {
 				assign[i] = m
 				continue
 			}
+			sig := p.signatures[i]
 			best, bestD := 0, math.Inf(1)
 			for m, med := range medoids {
-				if d := sqDist(p.signatures[i], p.signatures[med]); d < bestD {
+				if d := sqDist(sig, p.signatures[med]); d < bestD {
 					best, bestD = m, d
 				}
 			}

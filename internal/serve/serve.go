@@ -38,6 +38,7 @@ import (
 
 	"github.com/aquascale/aquascale/internal/core"
 	"github.com/aquascale/aquascale/internal/faults"
+	"github.com/aquascale/aquascale/internal/randsrc"
 	"github.com/aquascale/aquascale/internal/telemetry"
 )
 
@@ -586,7 +587,7 @@ func (s *Server) run(j *Job) {
 	var delay time.Duration
 	var injErr error
 	if f := s.cfg.Faults; f.RequestSlow > 0 || f.RequestFail > 0 {
-		delay, injErr = s.inj.RequestPlan(rand.New(rand.NewSource(j.seed)))
+		delay, injErr = s.inj.RequestPlan(rand.New(randsrc.New(j.seed)))
 	}
 	if delay > 0 {
 		j.trace.EventValue(telemetry.StageFaultDelay, delay.Seconds())
